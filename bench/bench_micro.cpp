@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot data structures and code
 // paths: EDF job queue, ring buffers, wire codec, the Primary engine's
-// publish/dispatch/replicate path, and the event-channel stages.
+// publish/dispatch/replicate path, and the TCP transport.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -23,7 +23,6 @@
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "core/job_queue.hpp"
-#include "eventsvc/correlation.hpp"
 #include "net/tcp.hpp"
 #include "net/wire.hpp"
 #include "obs/obs.hpp"
@@ -537,22 +536,6 @@ void BM_TcpFanInEpoll(benchmark::State& state) {
   for (auto& sender : senders) sender.join();
 }
 BENCHMARK(BM_TcpFanInEpoll)->UseRealTime();
-
-void BM_CorrelatorConjunction(benchmark::State& state) {
-  using namespace eventsvc;
-  Correlator correlator(CorrelationSpec{
-      CorrelationKind::kConjunction,
-      {SubscriptionPattern{1, kAnyType}, SubscriptionPattern{2, kAnyType}}});
-  Event a;
-  a.header = {1, 0, 0};
-  Event b;
-  b.header = {2, 0, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(correlator.offer(a));
-    benchmark::DoNotOptimize(correlator.offer(b));
-  }
-}
-BENCHMARK(BM_CorrelatorConjunction);
 
 }  // namespace
 }  // namespace frame

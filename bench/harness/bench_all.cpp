@@ -428,23 +428,32 @@ std::vector<obs::BenchSeries> run_e2e(const Options& options) {
 
 /// Transport stub for the sharded throughput runs: delivers nothing and
 /// never blocks, so the measurement isolates the broker hot path
-/// (ring hand-off -> admission -> EDF pop -> dispatch) from transport
-/// behaviour.  Dispatched frames are counted via the engines' own stats.
+/// (CRC gate -> ring hand-off -> admission -> EDF pop -> dispatch) from
+/// transport behaviour.  It keeps the broker's endpoint handler so
+/// producers can call it directly.  Dispatched frames are counted via the
+/// engines' own stats.
 class SinkBus final : public Bus {
  public:
-  void register_endpoint(NodeId, Handler) override {}
+  void register_endpoint(NodeId, Handler handler) override {
+    handler_ = std::move(handler);
+  }
   void send(NodeId, NodeId, std::vector<std::uint8_t>) override {}
   void crash(NodeId) override {}
   void restore(NodeId) override {}
   bool crashed(NodeId) const override { return false; }
   void shutdown() override {}
+
+  const Handler& handler() const { return handler_; }
+
+ private:
+  Handler handler_;
 };
 
 /// One sharded-vs-global cell: a RuntimeBroker with `shards` partitions
 /// dispatching `topics` loss-tolerant topics as fast as producer threads
-/// can push pre-encoded publish frames through the event channel's
-/// Supplier Proxies.  Returns items/s of executed dispatches, or 0 when
-/// the run failed to drain (reported, never silently dropped).
+/// can push pre-encoded publish frames into the broker's endpoint handler.
+/// Returns items/s of executed dispatches, or 0 when the run failed to
+/// drain (reported, never silently dropped).
 double run_sharded_dispatch_cell(std::size_t shards, std::size_t topics,
                                  std::size_t per_topic) {
   using namespace frame::runtime;
@@ -491,13 +500,9 @@ double run_sharded_dispatch_cell(std::size_t shards, std::size_t topics,
           WireType::kPublish, make_test_message(t, seq, 0)));
     }
   }
-  // Materialise each producer's Supplier Proxy before the clock starts;
-  // pushes themselves are the Fig. 5b multi-producer surface.
-  std::vector<eventsvc::ProxyPushConsumer*> proxies;
-  for (std::size_t p = 0; p < producers; ++p) {
-    proxies.push_back(&broker.channel().obtain_push_consumer(
-        static_cast<NodeId>(200 + p)));
-  }
+  // The handler is the Fig. 5b multi-producer surface: concurrent bus
+  // threads call it in a deployment.
+  const Bus::Handler& deliver = bus.handler();
 
   const std::uint64_t total =
       static_cast<std::uint64_t>(topics) * per_topic;
@@ -506,11 +511,7 @@ double run_sharded_dispatch_cell(std::size_t shards, std::size_t topics,
   for (std::size_t p = 0; p < producers; ++p) {
     pushers.emplace_back([&, p] {
       for (auto& frame : frames[p]) {
-        eventsvc::Event event;
-        event.header.source = static_cast<NodeId>(200 + p);
-        event.header.type = 1;
-        event.payload = std::move(frame);
-        proxies[p]->push(event);
+        deliver(static_cast<NodeId>(200 + p), std::move(frame));
       }
     });
   }

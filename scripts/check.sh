@@ -183,3 +183,15 @@ grep -q '^frame-crash-record v1$' "$pm_dir/crash-record.txt" \
 grep -q '^signo 011$' "$pm_dir/crash-record.txt" \
     || { echo "error: crash record signo not patched" >&2; exit 1; }
 echo "flight recorder + SLO alerts: OK"
+
+# Smoke test: the benchmark builds src/ with its own CMake and reaches it
+# only through public names, so a src/ change that breaks that build or a
+# workload's output checks fails here, before a benchmark run does.
+# failover_cycles stays out: a host stall can fail it spuriously.
+for workload in table2_tcp broker_saturate; do
+  echo "--- framebench $workload smoke test ---"
+  (cd "$repo" && python3 framebench/run.py --workload "$workload" --seed 1 \
+      --seconds 3 --trace 0 >/dev/null) \
+      || { echo "error: framebench $workload exited non-zero" >&2; exit 1; }
+  echo "framebench $workload: OK"
+done

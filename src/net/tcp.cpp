@@ -29,7 +29,7 @@ const MonotonicClock& wall() {
   return clock;
 }
 
-/// Largest writev batch per flush round; IOV_MAX is far bigger but the
+/// Largest sendmsg batch per flush round; IOV_MAX is far bigger but the
 /// marginal win flattens out well before that.
 constexpr std::size_t kMaxIov = 64;
 
@@ -144,7 +144,7 @@ Status TcpConnection::send_frame(const std::vector<std::uint8_t>& frame) {
     return Status(StatusCode::kClosed, "connection closed");
   }
   // One buffer per frame, header included, so the reactor can cork many
-  // frames into a single writev.
+  // frames into a single sendmsg.
   std::vector<std::uint8_t> buf;
   buf.reserve(frame.size() + 4);
   const auto size = static_cast<std::uint32_t>(frame.size());
@@ -198,9 +198,15 @@ bool TcpConnection::flush_locked() {
       offset = 0;
       ++iov_count;
     }
+    // sendmsg rather than writev: close() may shut the socket down while a
+    // sender is past its closed_ check, and only MSG_NOSIGNAL keeps that
+    // write from raising SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
     ssize_t n;
     do {
-      n = ::writev(fd_, iov, static_cast<int>(iov_count));
+      n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     } while (n < 0 && errno == EINTR);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;

@@ -5,11 +5,13 @@
 // registered with it: reads drain the kernel buffer in large chunks and
 // re-assemble frames across partial deliveries; writes go through a
 // bounded per-connection outbound queue that the reactor flushes with one
-// writev per wakeup (corking), so many small frames cost one syscall.
+// gathering sendmsg per wakeup (corking), so many small frames cost one
+// syscall.  MSG_NOSIGNAL turns a write to a closed peer into EPIPE instead
+// of a process-killing SIGPIPE.
 //
 // send_frame() is thread-safe and never blocks: when the socket is
 // writable and the queue is empty it attempts one optimistic non-blocking
-// writev inline (single-frame latency equals the old blocking design);
+// sendmsg inline (single-frame latency equals the old blocking design);
 // otherwise the frame is queued and the reactor flushes it.  A full queue
 // is backpressure: send_frame returns kCapacity and drops nothing that
 // was previously accepted.
@@ -83,7 +85,7 @@ class TcpConnection {
 
   void on_events(std::uint32_t events);
   void drain_readable();
-  /// Flushes the outbound queue with writev; send_mutex_ must be held.
+  /// Flushes the outbound queue with sendmsg; send_mutex_ must be held.
   /// Returns false when the connection must die.
   bool flush_locked();
   void update_write_interest_locked();

@@ -10,8 +10,6 @@
 namespace frame::runtime {
 
 namespace {
-constexpr eventsvc::EventType kMessageEventType = 1;
-
 void accumulate(PrimaryEngine::Stats& total, const PrimaryEngine::Stats& s) {
   total.arrivals += s.arrivals;
   total.recovery_arrivals += s.recovery_arrivals;
@@ -35,7 +33,7 @@ RuntimeBroker::RuntimeBroker(Bus& bus, const MonotonicClock& clock,
       options_(options),
       topics_(std::move(topics)),
       params_(params),
-      channel_(std::make_unique<eventsvc::SynchronousDispatcher>()) {
+      peer_(options.peer) {
   options_.shards = std::clamp<std::size_t>(options_.shards, 1, kMaxShards);
   shards_.reserve(options_.shards);
   for (std::size_t k = 0; k < options_.shards; ++k) {
@@ -54,13 +52,6 @@ RuntimeBroker::RuntimeBroker(Bus& bus, const MonotonicClock& clock,
     backup_->configure(topics_.size());
   }
 
-  // Fig. 5b wiring: supplier pushes land in FRAME's Message Proxy.  The
-  // hook runs on the producer's thread and must not decode: it peeks the
-  // topic and hands the raw frame to the owning shard.
-  channel_.set_intake_hook([this](const eventsvc::Event& event) {
-    on_publish_event(event);
-  });
-
   bus_.register_endpoint(options_.node,
                          [this](NodeId from, std::vector<std::uint8_t> frame) {
                            on_frame(from, std::move(frame));
@@ -72,24 +63,11 @@ RuntimeBroker::~RuntimeBroker() { stop(); }
 void RuntimeBroker::subscribe(TopicId topic, NodeId subscriber) {
   std::lock_guard lock(mutex_);
   subscriptions_.emplace_back(topic, subscriber);
-  {
-    // Only the owning shard's engine ever sees this topic's traffic, so
-    // only it needs the subscription.
-    Shard& shard = *shards_[shard_index(topic)];
-    std::lock_guard shard_lock(shard.mutex);
-    if (shard.engine) shard.engine->subscribe(topic, subscriber);
-  }
-  // Consumer proxy: pushing to it sends the event payload over the bus.
-  auto& proxy = channel_.obtain_push_supplier(subscriber);
-  if (!proxy.connected()) {
-    proxy.connect([this, subscriber](const eventsvc::Event& event) {
-      const Status sent =
-          bus_.try_send(options_.node, subscriber, event.payload);
-      if (sent.code() == StatusCode::kCapacity) {
-        obs::hooks::send_backpressure(options_.node);
-      }
-    });
-  }
+  // Only the owning shard's engine ever sees this topic's traffic, so only
+  // it needs the subscription.
+  Shard& shard = *shards_[shard_index(topic)];
+  std::lock_guard shard_lock(shard.mutex);
+  if (shard.engine) shard.engine->subscribe(topic, subscriber);
 }
 
 void RuntimeBroker::start() {
@@ -114,7 +92,7 @@ void RuntimeBroker::start() {
   }
   // Both roles watch their peer: the Backup to promote itself, the Primary
   // to stop replicating to (and blocking on) a dead Backup.
-  if (options_.peer != kInvalidNode) {
+  if (peer_.load(std::memory_order_acquire) != kInvalidNode) {
     detector_ = std::thread([this] { detector_loop(); });
   }
 }
@@ -179,17 +157,9 @@ void RuntimeBroker::on_frame(NodeId from, std::vector<std::uint8_t> frame) {
   if (!type.has_value()) return;
   switch (*type) {
     case WireType::kPublish:
-    case WireType::kResend: {
-      // Route through the event channel's Supplier Proxy so the Fig. 5b
-      // integration surface (push hook) is exercised for real.
-      eventsvc::Event event;
-      event.header.source = from;
-      event.header.type = kMessageEventType;
-      event.header.creation_time = clock_.now();
-      event.payload = std::move(frame);
-      channel_.obtain_push_consumer(from).push(event);
+    case WireType::kResend:
+      on_publish_frame(std::move(frame));
       break;
-    }
     case WireType::kReplicate: {
       if (auto msg = decode_message_frame(frame)) {
         std::lock_guard lock(mutex_);
@@ -207,7 +177,7 @@ void RuntimeBroker::on_frame(NodeId from, std::vector<std::uint8_t> frame) {
     case WireType::kPoll: {
       // An inbound poll is itself proof the peer is alive (a restarted
       // Backup polls before its Hello settles).
-      if (from == options_.peer) {
+      if (from == peer_.load(std::memory_order_acquire)) {
         std::lock_guard lock(mutex_);
         if (clock_.now() > last_peer_reply_) last_peer_reply_ = clock_.now();
       }
@@ -244,7 +214,7 @@ void RuntimeBroker::on_frame(NodeId from, std::vector<std::uint8_t> frame) {
             sync.insert(sync.end(), part.begin(), part.end());
           }
         }
-        options_.peer = hello->node;
+        peer_.store(hello->node, std::memory_order_release);
         // The Hello is proof of life; without this the detector could
         // re-suspect the new Backup before its first poll reply lands.
         if (clock_.now() > last_peer_reply_) last_peer_reply_ = clock_.now();
@@ -266,22 +236,19 @@ void RuntimeBroker::on_frame(NodeId from, std::vector<std::uint8_t> frame) {
   }
 }
 
-void RuntimeBroker::on_publish_event(const eventsvc::Event& event) {
-  if (crashed_.load(std::memory_order_acquire) ||
-      stop_.load(std::memory_order_acquire)) {
-    return;
-  }
+void RuntimeBroker::on_publish_frame(std::vector<std::uint8_t> frame) {
   if (is_primary_.load(std::memory_order_acquire)) {
     // Primary fast path: no decode, no global lock — peek the topic and
-    // hand the frame to its shard.  Engines exist for the whole time
-    // is_primary_ is true (promote creates them before the flag flips).
-    route_to_shard(event.payload);
+    // move the frame into its shard's ring.  Engines exist for the whole
+    // time is_primary_ is true (promote creates them before the flag
+    // flips).
+    route_to_shard(std::move(frame));
     return;
   }
   // Backup / not-yet-promoted: a redirected publisher raced ahead of the
   // detector.  Store straight into the Backup Buffer so the copy is part
   // of the recovery set.
-  const auto msg = decode_message_frame(event.payload);
+  const auto msg = decode_message_frame(frame);
   if (!msg.has_value()) return;
   {
     std::lock_guard lock(mutex_);
@@ -293,15 +260,15 @@ void RuntimeBroker::on_publish_event(const eventsvc::Event& event) {
       return;
     }
   }
-  route_to_shard(event.payload);
+  route_to_shard(std::move(frame));
 }
 
-void RuntimeBroker::route_to_shard(const std::vector<std::uint8_t>& frame) {
+void RuntimeBroker::route_to_shard(std::vector<std::uint8_t> frame) {
   const auto topic = peek_message_topic(frame);
   if (!topic.has_value()) return;
   Shard& shard = *shards_[shard_index(*topic)];
-  std::vector<std::uint8_t> copy = frame;
-  while (!shard.inbox.try_push(copy)) {
+  // try_push moves the frame only on success, so a retry pushes it again.
+  while (!shard.inbox.try_push(frame)) {
     // Bounded ring full: backpressure the producer rather than drop an
     // accepted publish.  Lanes drain continuously, so this resolves unless
     // the broker is crashing — in which case the frame is droppable
@@ -403,11 +370,11 @@ void RuntimeBroker::shard_loop(std::size_t shard_index) {
     // queue_delay + service identical to the stitched enqueue->done span.
     const TimePoint t_exec = clock_.now();
     const Duration queue_delay = t_exec - job->release;
+    const NodeId peer = peer_.load(std::memory_order_acquire);
 
     if (job->kind == JobKind::kDispatch) {
       DispatchEffect effect = shard.engine->execute_dispatch(*job, t_exec);
-      const bool prune = effect.prune_backup &&
-                         options_.peer != kInvalidNode &&
+      const bool prune = effect.prune_backup && peer != kInvalidNode &&
                          has_peer_.load(std::memory_order_acquire);
       lock.unlock();
       if (effect.executed) {
@@ -415,15 +382,16 @@ void RuntimeBroker::shard_loop(std::size_t shard_index) {
         msg.dispatched_at = clock_.now();
         if (msg.trace_id != 0) ++msg.hop;  // crossing broker -> subscriber
         const auto frame = encode_message_frame(WireType::kDeliver, msg);
+        // Consumer push (Fig. 5b): each subscriber gets the frame straight
+        // over the bus; a full link is counted, not retried.
         for (const NodeId subscriber : effect.subscribers) {
-          eventsvc::Event event;
-          event.header.source = options_.node;
-          event.header.type = kMessageEventType;
-          event.payload = frame;
-          channel_.deliver_to(subscriber, event);
+          const Status sent = bus_.try_send(options_.node, subscriber, frame);
+          if (sent.code() == StatusCode::kCapacity) {
+            obs::hooks::send_backpressure(options_.node);
+          }
         }
         if (prune) {
-          bus_.send(options_.node, options_.peer,
+          bus_.send(options_.node, peer,
                     encode_prune_frame(PruneFrame{job->topic, job->seq}));
         }
         const TimePoint t_done = clock_.now();
@@ -434,11 +402,11 @@ void RuntimeBroker::shard_loop(std::size_t shard_index) {
     } else {
       ReplicateEffect effect = shard.engine->execute_replicate(*job, t_exec);
       lock.unlock();
-      if (effect.executed && options_.peer != kInvalidNode &&
+      if (effect.executed && peer != kInvalidNode &&
           has_peer_.load(std::memory_order_acquire)) {
         Message copy = effect.msg;
         if (copy.trace_id != 0) ++copy.hop;  // crossing Primary -> Backup
-        send_message(options_.peer, WireType::kReplicate, copy);
+        send_message(peer, WireType::kReplicate, copy);
         obs::hooks::replicate_stage(queue_delay, clock_.now() - t_exec);
       }
       lock.lock();
@@ -453,11 +421,8 @@ void RuntimeBroker::detector_loop() {
   detector.start(clock_.now());
   while (!stop_.load(std::memory_order_acquire) &&
          !crashed_.load(std::memory_order_acquire)) {
-    NodeId peer;
-    {
-      std::lock_guard lock(mutex_);
-      peer = options_.peer;  // a Hello can repoint it mid-run
-    }
+    // A Hello can repoint the peer mid-run.
+    const NodeId peer = peer_.load(std::memory_order_acquire);
     bus_.send(options_.node, peer, encode_control_frame(WireType::kPoll));
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(options_.poll_period));
@@ -554,7 +519,7 @@ void RuntimeBroker::restart_as_backup(NodeId new_primary) {
     }
     backup_ = std::make_unique<BackupEngine>(options_.broker);
     backup_->configure(topics_.size());
-    options_.peer = new_primary;
+    peer_.store(new_primary, std::memory_order_release);
     options_.start_as_primary = false;
   }
   is_primary_.store(false, std::memory_order_release);

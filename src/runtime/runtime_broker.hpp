@@ -2,9 +2,10 @@
 //
 // This is the deployment-shaped counterpart of the simulator: the same
 // PrimaryEngine / BackupEngine state machines, driven by actual threads and
-// the monotonic clock, wired into a TAO-style event channel (Fig. 5b): the
-// Supplier Proxies' push hook feeds FRAME's Message Proxy, and FRAME's
-// Message Delivery pushes out through the Consumer Proxies.
+// the monotonic clock.  The broker owns the paper's Fig. 5b seam itself:
+// on_publish_frame is the supplier-push hook that feeds FRAME's Message
+// Proxy, and a delivery lane's bus_.try_send of each kDeliver frame is
+// the consumer push of FRAME's Message Delivery.
 //
 // Threading (DESIGN.md §12): the Primary hot path is partitioned into
 // `shards` independent lanes.  Topics map to shards by consistent hash
@@ -16,9 +17,10 @@
 // shard's lane threads drain the ring, admit under the shard mutex, then
 // pop one EDF job and perform network sends outside any lock.  Everything
 // that is not per-topic hot path (Backup engine, failure detector state,
-// subscriptions, peer identity) stays behind the global mutex.  Lock order
-// is strictly global -> shard; no path takes them in the other direction.
-// With shards == 1 this degenerates to the original single-queue broker.
+// subscriptions) stays behind the global mutex; the live peer identity is
+// an atomic that each lane job loads once.  Lock order is strictly
+// global -> shard; no path takes them in the other direction.  With
+// shards == 1 this degenerates to the original single-queue broker.
 #pragma once
 
 #include <atomic>
@@ -35,7 +37,6 @@
 #include "broker/primary_engine.hpp"
 #include "common/mpsc_ring.hpp"
 #include "core/topic_sharding.hpp"
-#include "eventsvc/event_channel.hpp"
 #include "net/bus.hpp"
 #include "net/wire.hpp"
 
@@ -127,10 +128,6 @@ class RuntimeBroker {
   PrimaryEngine::Stats primary_stats() const;
   BackupEngine::Stats backup_stats() const;
 
-  /// The event channel, exposed for tests that want to observe the Fig. 5b
-  /// integration.
-  eventsvc::EventChannel& channel() { return channel_; }
-
  private:
   /// One partition of the Primary hot path.  `engine`, `dispatched_bits`
   /// and everything reached through them are guarded by `mutex`; the inbox
@@ -152,10 +149,11 @@ class RuntimeBroker {
   }
 
   void on_frame(NodeId from, std::vector<std::uint8_t> frame);
-  /// Intake hook: fast-path a publish/resend frame to its shard's ring, or
-  /// fall back to the Backup Buffer under the global mutex.
-  void on_publish_event(const eventsvc::Event& event);
-  void route_to_shard(const std::vector<std::uint8_t>& frame);
+  /// Supplier-push hook (Fig. 5b): moves a publish/resend frame into its
+  /// shard's ring, or stores it in the Backup Buffer under the global
+  /// mutex while this broker is a Backup that is not yet promoted.
+  void on_publish_frame(std::vector<std::uint8_t> frame);
+  void route_to_shard(std::vector<std::uint8_t> frame);
   void shard_loop(std::size_t shard_index);
   /// Admits every frame currently in the shard's inbox.  Returns true if
   /// anything was consumed.  Caller holds the shard mutex.
@@ -178,10 +176,8 @@ class RuntimeBroker {
   std::vector<TopicSpec> topics_;
   TimingParams params_;
 
-  eventsvc::EventChannel channel_;
-
-  /// Global state: Backup engine, subscriptions, peer identity, detector
-  /// bookkeeping.  Lock order: mutex_ before any Shard::mutex.
+  /// Global state: Backup engine, subscriptions, detector bookkeeping.
+  /// Lock order: mutex_ before any Shard::mutex.
   mutable std::mutex mutex_;
   std::unique_ptr<BackupEngine> backup_;
   std::vector<std::pair<TopicId, NodeId>> subscriptions_;
@@ -191,6 +187,9 @@ class RuntimeBroker {
   std::atomic<bool> is_primary_{false};
   std::atomic<bool> crashed_{false};
   std::atomic<bool> stop_{false};
+  /// The other broker.  Starts as Options::peer; a Hello or a restart
+  /// repoints it while lanes run, so readers load it, never options_.peer.
+  std::atomic<NodeId> peer_{kInvalidNode};
   /// True while a live Backup peer exists (replication + prunes flow).
   std::atomic<bool> has_peer_{false};
   std::atomic<std::uint64_t> corrupt_frames_{0};

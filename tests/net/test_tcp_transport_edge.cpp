@@ -1,7 +1,8 @@
 // Transport hardening regressions: EINTR survival under a signal storm,
 // bounded connect timeouts, oversized-frame protocol errors (both sides),
-// partial-frame reassembly across syscalls, send-queue backpressure, and
-// the determinism of the jittered reconnect backoff schedule.
+// partial-frame reassembly across syscalls, send-queue backpressure, no
+// SIGPIPE from a close racing concurrent senders, and the determinism of
+// the jittered reconnect backoff schedule.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -313,6 +314,41 @@ TEST(TcpEdge, SendQueueOverflowSurfacesCapacity) {
   // respects its cap.
   EXPECT_FALSE(client.value()->closed());
   EXPECT_LE(client.value()->send_queue_bytes(), 64u * 1024u);
+}
+
+// ------------------------------------------------------------- SIGPIPE
+
+// Regression for the flush writing with writev: close() shuts the socket
+// down without the send mutex, so a sender already past the closed check
+// wrote to a shut-down socket and SIGPIPE killed the process.  SIGPIPE is
+// deliberately left at its default here: a failure ends the test binary.
+TEST(TcpEdge, CloseDuringConcurrentSendsRaisesNoSigpipe) {
+  EchoServer server;
+  ASSERT_TRUE(server.open());
+  const std::vector<std::uint8_t> payload(512, 0x5A);
+  for (int round = 0; round < 300; ++round) {
+    auto client = TcpConnection::connect("127.0.0.1", server.listener->port());
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    TcpConnection& conn = *client.value();
+    conn.start([](std::vector<std::uint8_t>) {});
+
+    std::atomic<int> sent{0};
+    std::vector<std::thread> senders;
+    for (int t = 0; t < 3; ++t) {
+      senders.emplace_back([&] {
+        for (;;) {
+          const Status status = conn.send_frame(payload);
+          if (status.code() == StatusCode::kClosed) return;
+          if (status.is_ok()) sent.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    // Close once frames are flowing.
+    while (sent.load(std::memory_order_relaxed) < 3) std::this_thread::yield();
+    conn.close();
+    for (auto& sender : senders) sender.join();
+    EXPECT_TRUE(conn.closed());
+  }
 }
 
 // ------------------------------------------------------------- backoff
