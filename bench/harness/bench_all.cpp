@@ -1,19 +1,19 @@
-// bench_all: the release-forced bench driver behind scripts/bench.sh.
+// bench_all: the release-forced microbenchmark runner behind
+// scripts/bench.sh.
 //
-//   bench_all [--suite=micro|tcp|e2e|all] [--out-dir=DIR] [--quick]
+//   bench_all [--suite=micro|tcp|all] [--out-dir=DIR] [--quick]
 //             [--force-ungated]
 //
-// Runs three suites and writes one canonical frame-bench-v1 document per
-// suite (BENCH_micro.json / BENCH_tcp.json / BENCH_e2e.json) into the
-// repo root (or --out-dir):
-//   micro  hand-rolled steady_clock ns/op loops over the hot paths
-//          (EDF job queue, wire codec, engine publish/dispatch)
+// Runs two suites and writes one canonical frame-bench-v1 document per
+// suite (BENCH_micro.json / BENCH_tcp.json) into the repo root (or
+// --out-dir):
+//   micro  hand-rolled steady_clock ns/op loops over the hot paths (EDF
+//          and FIFO job queues, replicate-job cancellation, ring-buffer
+//          eviction, wire codec, engine publish/dispatch with obs off and
+//          on)
 //   tcp    loopback epoll transport: ping-pong RTT percentiles, fan-in
 //          throughput
-//   e2e    a live in-process EdgeSystem with observability on; e2e and
-//          dispatch-span percentiles measured from stitched traces
-//          (src/obs/stitch), queue-delay vs service split from the
-//          runtime's per-stage histograms
+// End-to-end numbers come from framebench/, not from here.
 //
 // The harness links frame_release (bench/harness/CMakeLists.txt), whose
 // sources are force-compiled -O2 -DNDEBUG whatever the top-level build
@@ -21,16 +21,9 @@
 // configured), the run refuses to write JSON unless --force-ungated, and
 // then tags every document "gated": false so frame_bench_diff cannot
 // fail CI on it.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
-#include <iterator>
-#include <map>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,14 +33,12 @@
 #include "bench/bench_util.hpp"
 #include "bench_env.hpp"
 #include "broker/primary_engine.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "core/job_queue.hpp"
 #include "net/tcp.hpp"
 #include "net/wire.hpp"
-#include "obs/export.hpp"
 #include "obs/obs.hpp"
-#include "obs/stitch.hpp"
-#include "runtime/system.hpp"
 
 namespace frame::bench {
 namespace {
@@ -59,9 +50,9 @@ struct Options {
   bool force_ungated = false;
 };
 
-obs::BenchSeries series(std::string name, std::string unit, double value,
-                        bool gated = true) {
-  obs::BenchSeries s;
+BenchSeries series(std::string name, std::string unit, double value,
+                   bool gated = true) {
+  BenchSeries s;
   s.name = std::move(name);
   s.unit = std::move(unit);
   s.value = value;
@@ -101,14 +92,38 @@ PrimaryEngine micro_engine() {
   return engine;
 }
 
-std::vector<obs::BenchSeries> run_micro(const Options& options) {
+/// ns/op of one message through a fresh engine: publish + dispatch of a
+/// never-replicated topic (Table 2 category 0), or with `replicate`
+/// publish + replicate + dispatch (+ prune) of a replicated one (category
+/// 2).  `now` reaches execute_* so the slack hooks run when obs is on.
+double time_engine_path(std::size_t batch, std::size_t batches,
+                        bool replicate) {
+  PrimaryEngine engine = micro_engine();
+  const TopicId topic = replicate ? 2 : 0;
+  SeqNo seq = 1;
+  TimePoint now = 0;
+  return time_op_ns(batch, batches, [&] {
+    engine.on_publish(make_test_message(topic, seq, now), now);
+    if (replicate) {
+      const auto rep = engine.next_job();
+      (void)engine.execute_replicate(*rep, now);
+    }
+    const auto disp = engine.next_job();
+    (void)engine.execute_dispatch(*disp, now);
+    ++seq;
+    now += 1000;
+  });
+}
+
+std::vector<BenchSeries> run_micro(const Options& options) {
   const std::size_t batch = options.quick ? 2000 : 20000;
   const std::size_t batches = options.quick ? 5 : 15;
-  std::vector<obs::BenchSeries> out;
+  std::vector<BenchSeries> out;
 
-  {
+  // EDF (the FRAME configs) against FIFO (FCFS) at a 4096-job backlog.
+  for (const auto policy : {SchedulingPolicy::kEdf, SchedulingPolicy::kFifo}) {
     Rng rng(1);
-    JobQueue queue(SchedulingPolicy::kEdf);
+    JobQueue queue(policy);
     for (std::size_t i = 0; i < 4096; ++i) {
       queue.push(make_job(JobKind::kDispatch, 0, i,
                           static_cast<TimePoint>(rng.next_below(1 << 20)),
@@ -116,8 +131,9 @@ std::vector<obs::BenchSeries> run_micro(const Options& options) {
     }
     std::uint64_t order = 4096;
     out.push_back(series(
-        "job_queue_push_pop_edf_ns", "ns/op",
-        time_op_ns(batch, batches, [&] {
+        policy == SchedulingPolicy::kEdf ? "job_queue_push_pop_edf_ns"
+                                         : "job_queue_push_pop_fifo_ns",
+        "ns/op", time_op_ns(batch, batches, [&] {
           queue.push(make_job(JobKind::kDispatch, 0, order,
                               static_cast<TimePoint>(rng.next_below(1 << 20)),
                               order));
@@ -125,6 +141,39 @@ std::vector<obs::BenchSeries> run_micro(const Options& options) {
           auto job = queue.pop();
           if (!job.has_value()) std::abort();
         })));
+  }
+
+  {
+    // The coordination path: a dispatch cancels its message's pending
+    // replicate job, which pop() then skips.
+    JobQueue queue(SchedulingPolicy::kEdf);
+    SeqNo seq = 0;
+    out.push_back(series(
+        "job_queue_cancel_replication_ns", "ns/op",
+        time_op_ns(batch, batches, [&] {
+          queue.push(make_job(JobKind::kReplicate, 1, seq, 100, 2 * seq));
+          queue.push(make_job(JobKind::kDispatch, 1, seq, 200, 2 * seq + 1));
+          queue.cancel_replication(1, seq);
+          const auto job = queue.pop();
+          if (!job.has_value() || job->kind != JobKind::kDispatch) {
+            std::abort();
+          }
+          ++seq;
+        })));
+  }
+
+  {
+    // A full retention ring: every push evicts the oldest message.
+    RingBuffer<Message> ring(10);
+    SeqNo seq = 0;
+    std::size_t evicted = 0;
+    out.push_back(series("ring_buffer_push_evict_ns", "ns/op",
+                         time_op_ns(batch, batches, [&] {
+                           if (ring.push_back(make_test_message(0, seq++, 0))) {
+                             ++evicted;
+                           }
+                         })));
+    if (evicted == 0) std::abort();
   }
 
   {
@@ -150,36 +199,20 @@ std::vector<obs::BenchSeries> run_micro(const Options& options) {
     if (decoded == 0) std::abort();
   }
 
-  {
-    PrimaryEngine engine = micro_engine();
-    SeqNo seq = 1;
-    TimePoint now = 0;
-    out.push_back(series("engine_publish_dispatch_ns", "ns/op",
-                         time_op_ns(batch, batches, [&] {
-                           engine.on_publish(make_test_message(0, seq, now),
-                                             now);
-                           const auto job = engine.next_job();
-                           (void)engine.execute_dispatch(*job);
-                           ++seq;
-                           now += 1000;
-                         })));
-  }
-
-  {
-    PrimaryEngine engine = micro_engine();
-    SeqNo seq = 1;
-    TimePoint now = 0;
-    out.push_back(series("engine_publish_replicate_dispatch_ns", "ns/op",
-                         time_op_ns(batch, batches, [&] {
-                           engine.on_publish(make_test_message(2, seq, now),
-                                             now);
-                           const auto rep = engine.next_job();
-                           (void)engine.execute_replicate(*rep);
-                           const auto disp = engine.next_job();
-                           (void)engine.execute_dispatch(*disp);
-                           ++seq;
-                           now += 1000;
-                         })));
+  // The two engine paths with obs off, then on: the pair is the runtime
+  // cost of obs::hooks.  Obs goes on before each engine is built, because
+  // PrimaryEngine registers its topics with the deadline accountant and the
+  // SLO monitor only while obs is on.
+  for (const bool obs_on : {false, true}) {
+    obs::EnabledScope scope(obs_on);
+    for (const bool replicate : {false, true}) {
+      obs::reset_all();
+      std::string name = replicate ? "engine_publish_replicate_dispatch"
+                                   : "engine_publish_dispatch";
+      name += obs_on ? "_obs_on_ns" : "_ns";
+      out.push_back(series(std::move(name), "ns/op",
+                           time_engine_path(batch, batches, replicate)));
+    }
   }
   return out;
 }
@@ -214,8 +247,8 @@ class EchoServer {
   std::unique_ptr<TcpListener> listener_;
 };
 
-std::vector<obs::BenchSeries> run_tcp(const Options& options) {
-  std::vector<obs::BenchSeries> out;
+std::vector<BenchSeries> run_tcp(const Options& options) {
+  std::vector<BenchSeries> out;
 
   {
     // Ping-pong RTT over one connection, one frame in flight.
@@ -310,285 +343,6 @@ std::vector<obs::BenchSeries> run_tcp(const Options& options) {
   return out;
 }
 
-// -------------------------------- e2e -----------------------------------
-
-/// Per-trace firsts needed to measure e2e and dispatch spans exactly from
-/// the stitched timeline (percentiles, which StitchReport's OnlineStats
-/// cannot provide).
-struct TraceTimes {
-  std::int64_t publish = -1;
-  std::int64_t enqueue = -1;
-  std::int64_t dispatch_done = -1;
-  std::int64_t delivered = -1;
-};
-
-std::vector<obs::BenchSeries> run_e2e(const Options& options) {
-  using namespace frame::runtime;
-  obs::EnabledScope obs_scope(true);
-  obs::reset_all();
-
-  SystemOptions sys;
-  sys.config = ConfigName::kFrame;
-  sys.timing.delta_pb = milliseconds(5);
-  sys.timing.delta_bs_edge = milliseconds(1);
-  sys.timing.delta_bs_cloud = milliseconds(20);
-  sys.timing.delta_bb = milliseconds(1);
-  sys.timing.failover_x = milliseconds(60);
-  const TopicSpec zero_loss{0, milliseconds(10), milliseconds(50), 0, 2,
-                            Destination::kEdge};
-  const TopicSpec loss_tolerant{1, milliseconds(10), milliseconds(50), 3, 0,
-                                Destination::kEdge};
-  EdgeSystem system(sys,
-                    {ProxyGroup{milliseconds(10), {zero_loss, loss_tolerant}}});
-  system.start();
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(options.quick ? 600 : 2000));
-  system.stop();
-
-  const obs::TraceDump dump = system.trace_dump("bench-e2e");
-  const obs::StitchReport report = obs::stitch({dump});
-
-  std::map<std::uint64_t, TraceTimes> traces;
-  for (const auto& se : report.events) {
-    if (se.event.trace_id == 0) continue;
-    TraceTimes& t = traces[se.event.trace_id];
-    switch (se.event.kind) {
-      case obs::SpanKind::kPublish:
-        if (t.publish < 0) t.publish = se.wall_at;
-        break;
-      case obs::SpanKind::kJobEnqueue:
-        if (t.enqueue < 0) t.enqueue = se.wall_at;
-        break;
-      case obs::SpanKind::kDispatchDone:
-        if (t.dispatch_done < 0) t.dispatch_done = se.wall_at;
-        break;
-      case obs::SpanKind::kDelivered:
-        if (t.delivered < 0) t.delivered = se.wall_at;
-        break;
-      default:
-        break;
-    }
-  }
-  SampleSet e2e, dispatch_span;
-  for (auto& [id, t] : traces) {
-    if (t.publish >= 0 && t.delivered >= 0) {
-      e2e.add(static_cast<double>(t.delivered - t.publish));
-    }
-    if (t.enqueue >= 0 && t.dispatch_done >= 0) {
-      dispatch_span.add(static_cast<double>(t.dispatch_done - t.enqueue));
-    }
-  }
-  if (e2e.count() < 10) {
-    std::fprintf(stderr, "bench_all: e2e run produced only %zu samples\n",
-                 e2e.count());
-    std::exit(2);
-  }
-
-  std::vector<obs::BenchSeries> out;
-  {
-    auto s = series("e2e_latency_p50_ns", "ns", e2e.percentile(50.0));
-    s.percentiles = {{"p50", e2e.percentile(50.0)},
-                     {"p90", e2e.percentile(90.0)},
-                     {"p99", e2e.percentile(99.0)}};
-    out.push_back(std::move(s));
-    // Tail is scheduler-dominated on a shared box: informational only.
-    out.push_back(series("e2e_latency_p99_ns", "ns", e2e.percentile(99.0),
-                         /*gated=*/false));
-  }
-  {
-    // Broker-internal queueing varies ~10% run to run on a loaded box
-    // (it is microseconds against the ms-scale delivery period), so the
-    // split series inform rather than gate; e2e_latency_p50_ns above is
-    // the stable gated number.
-    auto s = series("dispatch_span_p50_ns", "ns",
-                    dispatch_span.percentile(50.0), /*gated=*/false);
-    s.percentiles = {{"p50", dispatch_span.percentile(50.0)},
-                     {"p90", dispatch_span.percentile(90.0)},
-                     {"p99", dispatch_span.percentile(99.0)}};
-    out.push_back(std::move(s));
-  }
-  // Queue-delay vs service split from the runtime's per-stage histograms;
-  // cross-checkable against dispatch_span (delay + service == span).
-  const auto snap = obs::collect_snapshot(0);
-  for (const auto& [name, latency] : snap.metrics.latencies) {
-    if (name == "frame_dispatch_queue_delay_ns") {
-      out.push_back(series("dispatch_queue_delay_p50_ns", "ns",
-                           latency.p50(), /*gated=*/false));
-    } else if (name == "frame_dispatch_service_ns") {
-      out.push_back(series("dispatch_service_p50_ns", "ns", latency.p50(),
-                           /*gated=*/false));
-    }
-  }
-  out.push_back(series("delta_pb_mean_ns", "ns", report.delta_pb.mean(),
-                       /*gated=*/false));
-  return out;
-}
-
-// --------------------------- e2e: sharded -------------------------------
-
-/// Transport stub for the sharded throughput runs: delivers nothing and
-/// never blocks, so the measurement isolates the broker hot path
-/// (CRC gate -> ring hand-off -> admission -> EDF pop -> dispatch) from
-/// transport behaviour.  It keeps the broker's endpoint handler so
-/// producers can call it directly.  Dispatched frames are counted via the
-/// engines' own stats.
-class SinkBus final : public Bus {
- public:
-  void register_endpoint(NodeId, Handler handler) override {
-    handler_ = std::move(handler);
-  }
-  void send(NodeId, NodeId, std::vector<std::uint8_t>) override {}
-  void crash(NodeId) override {}
-  void restore(NodeId) override {}
-  bool crashed(NodeId) const override { return false; }
-  void shutdown() override {}
-
-  const Handler& handler() const { return handler_; }
-
- private:
-  Handler handler_;
-};
-
-/// One sharded-vs-global cell: a RuntimeBroker with `shards` partitions
-/// dispatching `topics` loss-tolerant topics as fast as producer threads
-/// can push pre-encoded publish frames into the broker's endpoint handler.
-/// Returns items/s of executed dispatches, or 0 when the run failed to
-/// drain (reported, never silently dropped).
-double run_sharded_dispatch_cell(std::size_t shards, std::size_t topics,
-                                 std::size_t per_topic) {
-  using namespace frame::runtime;
-  SinkBus bus;
-  MonotonicClock clock;
-
-  TimingParams params;
-  params.delta_pb = milliseconds(5);
-  params.delta_bs_edge = milliseconds(1);
-  params.delta_bs_cloud = milliseconds(20);
-  params.delta_bb = milliseconds(1);
-  params.failover_x = milliseconds(60);
-
-  // Loss-tolerant, no retention: FRAME's selective replication skips these
-  // topics, so every admitted message costs exactly one dispatch job — the
-  // cleanest denominator for a throughput series.
-  std::vector<TopicSpec> specs;
-  for (TopicId t = 0; t < topics; ++t) {
-    specs.push_back(TopicSpec{t, milliseconds(10), milliseconds(50), 3, 0,
-                              Destination::kEdge});
-  }
-
-  RuntimeBroker::Options bopts;
-  bopts.node = 1;
-  bopts.peer = kInvalidNode;  // no detector, no replication target
-  bopts.start_as_primary = true;
-  bopts.broker = broker_config(ConfigName::kFrame);
-  bopts.delivery_threads = std::max<std::size_t>(3, shards);
-  bopts.shards = shards;
-  RuntimeBroker broker(bus, clock, bopts, specs, params);
-  for (TopicId t = 0; t < topics; ++t) broker.subscribe(t, 100);
-  broker.start();
-
-  // Partition topics across producers so (topic, seq) pairs are unique and
-  // the dedup bitmap never suppresses a frame.  Pre-encode outside the
-  // timed window: the series measures the broker, not the codec.
-  const std::size_t producers = std::min<std::size_t>(
-      std::max<std::size_t>(2, shards), topics);
-  std::vector<std::vector<std::vector<std::uint8_t>>> frames(producers);
-  for (TopicId t = 0; t < topics; ++t) {
-    auto& mine = frames[t % producers];
-    for (SeqNo seq = 1; seq <= per_topic; ++seq) {
-      mine.push_back(encode_message_frame(
-          WireType::kPublish, make_test_message(t, seq, 0)));
-    }
-  }
-  // The handler is the Fig. 5b multi-producer surface: concurrent bus
-  // threads call it in a deployment.
-  const Bus::Handler& deliver = bus.handler();
-
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(topics) * per_topic;
-  const std::int64_t t0 = steady_now_ns();
-  std::vector<std::thread> pushers;
-  for (std::size_t p = 0; p < producers; ++p) {
-    pushers.emplace_back([&, p] {
-      for (auto& frame : frames[p]) {
-        deliver(static_cast<NodeId>(200 + p), std::move(frame));
-      }
-    });
-  }
-  for (auto& pusher : pushers) pusher.join();
-  // Drain: producers are done once every frame is admitted (arrivals hits
-  // total) and every created dispatch job has run.  Jobs can finish
-  // "stale" when full-speed pushing overwrites an undelivered copy in the
-  // bounded per-topic store — those drained too, they just do not count
-  // as dispatch work.
-  const std::int64_t deadline = steady_now_ns() + 60ll * 1000000000ll;
-  PrimaryEngine::Stats stats;
-  for (;;) {
-    stats = broker.primary_stats();
-    if (stats.arrivals >= total &&
-        stats.dispatches_executed + stats.stale_jobs >=
-            stats.dispatch_jobs_created) {
-      break;
-    }
-    if (steady_now_ns() > deadline) {
-      std::fprintf(stderr,
-                   "bench_all: sharded cell (%zu shards, %zu topics) "
-                   "stalled at %llu/%llu dispatches\n",
-                   shards, topics,
-                   static_cast<unsigned long long>(
-                       stats.dispatches_executed),
-                   static_cast<unsigned long long>(total));
-      broker.stop();
-      return 0.0;
-    }
-    std::this_thread::yield();
-  }
-  const double seconds = static_cast<double>(steady_now_ns() - t0) / 1e9;
-  broker.stop();
-  return static_cast<double>(stats.dispatches_executed) / seconds;
-}
-
-std::vector<obs::BenchSeries> run_e2e_sharded(const Options& options) {
-  const std::size_t per_topic = options.quick ? 250 : 2500;
-  // 1/2/4 shards plus this machine's auto-resolved count when distinct.
-  std::vector<std::size_t> shard_counts = {1, 2, 4};
-  const std::size_t natural = resolve_shard_count(0);
-  if (std::find(shard_counts.begin(), shard_counts.end(), natural) ==
-      shard_counts.end()) {
-    shard_counts.push_back(natural);
-  }
-  std::vector<obs::BenchSeries> out;
-  double rate_1shard_16 = 0.0, rate_4shard_16 = 0.0;
-  for (const std::size_t topics : {4u, 16u}) {
-    for (const std::size_t shards : shard_counts) {
-      const double rate = run_sharded_dispatch_cell(shards, topics,
-                                                    per_topic);
-      char name[96];
-      std::snprintf(name, sizeof(name),
-                    "e2e_dispatch_throughput_shard%zu_topics%zu_items_per_s",
-                    shards, topics);
-      // Informational: shard scaling depends on the host's core count, so
-      // a cross-machine diff would gate on hardware, not code (the
-      // provenance check would catch it, but these series are about the
-      // scaling *shape*).  The regression gate for e2e stays on
-      // e2e_latency_p50_ns.
-      out.push_back(series(name, "items/s", rate, /*gated=*/false));
-      std::printf("bench_all:   %-52s %12.0f items/s\n", name, rate);
-      if (topics == 16 && shards == 1) rate_1shard_16 = rate;
-      if (topics == 16 && shards == 4) rate_4shard_16 = rate;
-    }
-  }
-  if (rate_1shard_16 > 0 && rate_4shard_16 > 0) {
-    const double scaling = rate_4shard_16 / rate_1shard_16;
-    out.push_back(series("e2e_dispatch_scaling_4shard_over_1shard_ratio",
-                         "ratio", scaling, /*gated=*/false));
-    std::printf("bench_all:   4-shard/1-shard dispatch scaling: %.2fx "
-                "(%u cpus)\n",
-                scaling, std::thread::hardware_concurrency());
-  }
-  return out;
-}
-
 // -------------------------------- main ----------------------------------
 
 int run(int argc, char** argv) {
@@ -601,7 +355,8 @@ int run(int argc, char** argv) {
   options.out_dir = repo_root;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--suite=", 0) == 0) {
+    if (arg == "--suite=micro" || arg == "--suite=tcp" ||
+        arg == "--suite=all") {
       options.suite = arg.substr(8);
     } else if (arg.rfind("--out-dir=", 0) == 0) {
       options.out_dir = arg.substr(10);
@@ -611,7 +366,7 @@ int run(int argc, char** argv) {
       options.force_ungated = true;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_all [--suite=micro|tcp|e2e|all] "
+                   "usage: bench_all [--suite=micro|tcp|all] "
                    "[--out-dir=DIR] [--quick] [--force-ungated]\n");
       return 2;
     }
@@ -634,9 +389,8 @@ int run(int argc, char** argv) {
   }
 
   const bool all = options.suite == "all";
-  int written = 0;
   const auto publish = [&](const std::string& suite,
-                           std::vector<obs::BenchSeries> series_list) {
+                           std::vector<BenchSeries> series_list) {
     const std::string path = options.out_dir + "/BENCH_" + suite + ".json";
     const std::string doc = bench_report_json(suite, env, series_list);
     if (!write_text_file(path, doc)) {
@@ -645,23 +399,10 @@ int run(int argc, char** argv) {
     }
     std::printf("bench_all: wrote %s (%zu series)\n", path.c_str(),
                 series_list.size());
-    ++written;
   };
 
   if (all || options.suite == "micro") publish("micro", run_micro(options));
   if (all || options.suite == "tcp") publish("tcp", run_tcp(options));
-  if (all || options.suite == "e2e") {
-    auto e2e = run_e2e(options);
-    auto sharded = run_e2e_sharded(options);
-    e2e.insert(e2e.end(), std::make_move_iterator(sharded.begin()),
-               std::make_move_iterator(sharded.end()));
-    publish("e2e", std::move(e2e));
-  }
-  if (written == 0) {
-    std::fprintf(stderr, "bench_all: unknown suite '%s'\n",
-                 options.suite.c_str());
-    return 2;
-  }
   return 0;
 }
 

@@ -1,4 +1,4 @@
-#include "obs/bench_diff.hpp"
+#include "bench_diff.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -8,9 +8,11 @@
 
 #include "obs/json.hpp"
 
-namespace frame::obs {
+namespace frame::bench {
 
 namespace {
+
+using obs::JsonValue;
 
 bool get_string(const JsonValue& obj, std::string_view key, std::string& out) {
   const JsonValue* v = obj.find(key);
@@ -96,7 +98,7 @@ std::string_view to_string(SeriesVerdict v) {
 
 std::optional<BenchReport> parse_bench_report(std::string_view json,
                                               std::string* error) {
-  const auto root = parse_json(json);
+  const auto root = obs::parse_json(json);
   if (!root.has_value() || !root->is_object()) {
     fail(error, "not a JSON object");
     return std::nullopt;
@@ -267,4 +269,4 @@ std::string bench_diff_verdict(const BenchDiffResult& diff) {
   return out;
 }
 
-}  // namespace frame::obs
+}  // namespace frame::bench

@@ -1,15 +1,17 @@
 // Bench-report model and noise-aware regression differ.
 //
-// The bench harness (bench/harness) writes one canonical JSON document
-// per suite ("frame-bench-v1"): a context block identifying the build
-// (git sha, library build type, sanitizer, CPU/governor fingerprint) and
-// a set of named series, each with a headline value, a unit, optional
-// percentiles, and a `gated` flag.  This module parses those documents
-// and compares two of them: per-series verdicts (improved / regressed /
-// within-noise / new / removed) with a relative threshold plus an
-// absolute noise floor, where only gated series can fail the overall
-// verdict.  scripts/bench.sh and check.sh's FRAME_BENCH=1 mode gate on
-// the frame_bench_diff CLI built from this.
+// bench_all writes one canonical JSON document per suite ("frame-bench-v1"):
+// a context block identifying the build (git sha, library build type,
+// sanitizer, CPU/governor fingerprint) and a set of named series, each with
+// a headline value, a unit, optional percentiles, and a `gated` flag.  This
+// module parses those documents and compares two of them: per-series
+// verdicts (improved / regressed / within-noise / new / removed) with a
+// relative threshold plus an absolute noise floor, where only gated series
+// can fail the overall verdict.  scripts/bench.sh gates on the
+// frame_bench_diff CLI built from this, and scripts/check.sh runs it on
+// every document bench_all writes.  bench_all includes this header only for
+// BenchSeries: it links frame_release, which already holds every src/
+// object, so the differ's own object code stays out of its link.
 #pragma once
 
 #include <optional>
@@ -18,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-namespace frame::obs {
+namespace frame::bench {
 
 /// One measured series from a bench JSON.
 struct BenchSeries {
@@ -33,7 +35,7 @@ struct BenchSeries {
 
 /// A parsed "frame-bench-v1" document.
 struct BenchReport {
-  std::string suite;             ///< "micro", "tcp", "e2e"
+  std::string suite;             ///< "micro", "tcp"
   std::string git_sha;
   std::string build_type;        ///< library_build_type from the context
   std::string sanitizer;         ///< "none" or the sanitizer name
@@ -109,4 +111,4 @@ std::string bench_diff_table(const BenchDiffResult& diff);
 /// One machine-parseable line: "bench-diff: ok|REGRESSION|ungated ..."
 std::string bench_diff_verdict(const BenchDiffResult& diff);
 
-}  // namespace frame::obs
+}  // namespace frame::bench

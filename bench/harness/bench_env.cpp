@@ -70,7 +70,7 @@ BenchEnv capture_bench_env(const std::string& repo_root) {
 }
 
 std::string bench_report_json(const std::string& suite, const BenchEnv& env,
-                              const std::vector<obs::BenchSeries>& series) {
+                              const std::vector<BenchSeries>& series) {
   std::ostringstream out;
   out << "{\n  \"schema\": \"frame-bench-v1\",\n  \"suite\": \""
       << obs::json_escape(suite) << "\",\n  \"context\": {\n";

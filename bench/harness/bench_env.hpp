@@ -6,14 +6,14 @@
 // type and sanitizer of the *linked frame library* (common/build_info),
 // not of the harness TU.  A document is `gated` only when the library is
 // a bench-grade build (release, optimized, unsanitized); the differ
-// (src/obs/bench_diff) refuses to fail CI on anything else.
+// (bench_diff.hpp) refuses to fail CI on anything else.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/build_info.hpp"
-#include "obs/bench_diff.hpp"
+#include "bench_diff.hpp"
 
 namespace frame::bench {
 
@@ -33,7 +33,7 @@ BenchEnv capture_bench_env(const std::string& repo_root);
 
 /// Renders one canonical frame-bench-v1 document.
 std::string bench_report_json(const std::string& suite, const BenchEnv& env,
-                              const std::vector<obs::BenchSeries>& series);
+                              const std::vector<BenchSeries>& series);
 
 /// Writes `content` to `path` atomically enough for a bench artifact
 /// (truncate + write).  Returns false on any I/O error.

@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/bench_diff.hpp"
+#include "bench_diff.hpp"
 
 namespace {
 
@@ -42,7 +42,7 @@ bool read_file(const char* path, std::string& out) {
 int main(int argc, char** argv) {
   const char* old_path = nullptr;
   const char* new_path = nullptr;
-  frame::obs::BenchDiffOptions options;
+  frame::bench::BenchDiffOptions options;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
       options.rel_threshold = std::atof(argv[++i]) / 100.0;
@@ -68,13 +68,13 @@ int main(int argc, char** argv) {
   }
 
   std::string error;
-  const auto old_report = frame::obs::parse_bench_report(old_text, &error);
+  const auto old_report = frame::bench::parse_bench_report(old_text, &error);
   if (!old_report.has_value()) {
     std::fprintf(stderr, "frame_bench_diff: %s: %s\n", old_path,
                  error.c_str());
     return 2;
   }
-  const auto new_report = frame::obs::parse_bench_report(new_text, &error);
+  const auto new_report = frame::bench::parse_bench_report(new_text, &error);
   if (!new_report.has_value()) {
     std::fprintf(stderr, "frame_bench_diff: %s: %s\n", new_path,
                  error.c_str());
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   }
 
   const auto diff =
-      frame::obs::diff_bench_reports(*old_report, *new_report, options);
+      frame::bench::diff_bench_reports(*old_report, *new_report, options);
   std::printf("old: %s sha=%s build=%s sanitizer=%s%s\n",
               old_report->suite.c_str(), old_report->git_sha.c_str(),
               old_report->build_type.c_str(), old_report->sanitizer.c_str(),
@@ -91,13 +91,13 @@ int main(int argc, char** argv) {
               new_report->suite.c_str(), new_report->git_sha.c_str(),
               new_report->build_type.c_str(), new_report->sanitizer.c_str(),
               new_report->gated ? "" : " [UNGATED]");
-  std::fputs(frame::obs::bench_diff_table(diff).c_str(), stdout);
+  std::fputs(frame::bench::bench_diff_table(diff).c_str(), stdout);
   if (diff.provenance_mismatch) {
     std::fprintf(stderr,
                  "frame_bench_diff: warning: reports are not comparable "
                  "(%s); regression gating disabled\n",
                  diff.provenance_reason.c_str());
   }
-  std::fputs(frame::obs::bench_diff_verdict(diff).c_str(), stdout);
+  std::fputs(frame::bench::bench_diff_verdict(diff).c_str(), stdout);
   return diff.regression ? 1 : 0;
 }

@@ -11,7 +11,7 @@
 # -O2 -DNDEBUG regardless of the top-level build type, and refuse to emit
 # gated JSON from sanitized builds — so this script is safe to run from
 # any build directory.  Baselines live at the repo root (BENCH_micro.json,
-# BENCH_tcp.json, BENCH_e2e.json); every fresh run is archived under
+# BENCH_tcp.json); every fresh run is archived under
 # results/history/<date>-<sha>/ for the trajectory record.
 set -euo pipefail
 
@@ -44,12 +44,12 @@ echo "archived to ${archive#"$repo"/}"
 
 if [[ "$update" == "1" ]]; then
   cp "$run_dir"/BENCH_*.json "$repo/"
-  echo "baselines updated: BENCH_micro.json BENCH_tcp.json BENCH_e2e.json"
+  echo "baselines updated: BENCH_micro.json BENCH_tcp.json"
   exit 0
 fi
 
 failed=0
-for suite in micro tcp e2e; do
+for suite in micro tcp; do
   baseline="$repo/BENCH_$suite.json"
   fresh="$run_dir/BENCH_$suite.json"
   if [[ ! -f "$baseline" ]]; then
@@ -58,11 +58,11 @@ for suite in micro tcp e2e; do
     continue
   fi
   echo "--- diff: $suite ---"
-  if ! "$build_dir/examples/frame_bench_diff" "$baseline" "$fresh"; then
+  if ! "$build_dir/bench/harness/frame_bench_diff" "$baseline" "$fresh"; then
     failed=1
     echo "bench.sh: $suite regressed; reproduce with:" >&2
     echo "  $build_dir/bench/harness/bench_all --suite=$suite --out-dir=/tmp" >&2
-    echo "  $build_dir/examples/frame_bench_diff $baseline /tmp/BENCH_$suite.json" >&2
+    echo "  $build_dir/bench/harness/frame_bench_diff $baseline /tmp/BENCH_$suite.json" >&2
     echo "bench.sh: if the change is intentional: scripts/bench.sh --update" >&2
   fi
 done

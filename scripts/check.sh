@@ -184,6 +184,21 @@ grep -q '^signo 011$' "$pm_dir/crash-record.txt" \
     || { echo "error: crash record signo not patched" >&2; exit 1; }
 echo "flight recorder + SLO alerts: OK"
 
+# Smoke test: every bench_all case runs and writes a document the differ
+# reads.  --force-ungated lets sanitizer builds write theirs too; a document
+# diffed against itself must exit 0.
+echo "--- bench_all smoke test ---"
+"$build_dir/bench/harness/bench_all" --quick --force-ungated \
+    --out-dir="$smoke_dir" >/dev/null \
+    || { echo "error: bench_all exited non-zero" >&2; exit 1; }
+for suite in micro tcp; do
+  doc="$smoke_dir/BENCH_$suite.json"
+  "$build_dir/bench/harness/frame_bench_diff" "$doc" "$doc" >/dev/null \
+      || { echo "error: frame_bench_diff rejected $suite's document" >&2
+           exit 1; }
+done
+echo "bench_all: OK"
+
 # Smoke test: the benchmark builds src/ with its own CMake and reaches it
 # only through public names, so a src/ change that breaks that build or a
 # workload's output checks fails here, before a benchmark run does.

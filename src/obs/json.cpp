@@ -40,8 +40,15 @@ class JsonParser {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      // Each nesting level is one recursion; cap it so a hostile file
+      // fails to parse instead of overflowing the stack.
+      if (depth_ == kMaxDepth) return std::nullopt;
+      ++depth_;
+      auto v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return string_value();
     if (c == 't' || c == 'f') return boolean();
     if (c == 'n') return null();
@@ -156,8 +163,11 @@ class JsonParser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Minimal recursive-descent JSON reader shared by the obs tooling: the
-// Perfetto-export validator (stitch.cpp) and the bench-JSON differ
-// (bench_diff.cpp).  It parses standard JSON into a single variant-ish
-// value type; it does not aim to be fast, streaming, or byte-for-byte
-// round-trippable (\uXXXX escapes are validated but decoded as '?').
+// Minimal recursive-descent JSON reader shared by the obs tooling (the
+// Perfetto-export validator in stitch.cpp, frame_analyze's post-mortem
+// reader) and the bench-report differ (bench/harness/bench_diff.cpp).  It
+// parses standard JSON into a single variant-ish value type; it does not
+// aim to be fast, streaming, or byte-for-byte round-trippable (\uXXXX
+// escapes are validated but decoded as '?').
 #pragma once
 
 #include <optional>
@@ -37,7 +38,8 @@ struct JsonValue {
 };
 
 /// Parses `text` as one complete JSON document (trailing garbage is an
-/// error).  Returns nullopt on any syntax error.
+/// error).  Returns nullopt on any syntax error, and on arrays and objects
+/// nested more than 256 deep.
 std::optional<JsonValue> parse_json(std::string_view text);
 
 }  // namespace frame::obs

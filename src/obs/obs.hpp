@@ -3,8 +3,9 @@
 // instrumentation hooks the engines call.
 //
 // Cost contract: with observability disabled (the default), every hook is
-// one relaxed atomic load plus a predictable branch -- verified by
-// BM_EnginePublishDispatch vs BM_EnginePublishDispatchObs in bench_micro.
+// one relaxed atomic load plus a predictable branch -- measured by the
+// bench_all micro pair engine_publish_dispatch_ns (obs off) vs
+// engine_publish_dispatch_obs_on_ns.
 // With FRAME_OBS=OFF at configure time the hooks compile away entirely.
 // Hook bodies resolve their named instruments once via static-local
 // references; afterwards a hook touches only its own atomics.

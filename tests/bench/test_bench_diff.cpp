@@ -1,12 +1,12 @@
 // Golden tests for the frame-bench-v1 parser and the noise-aware differ
 // behind frame_bench_diff / scripts/bench.sh.
-#include "obs/bench_diff.hpp"
+#include "bench/harness/bench_diff.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-namespace frame::obs {
+namespace frame::bench {
 namespace {
 
 std::string report_json(const std::string& series_body,
@@ -76,6 +76,13 @@ TEST(BenchReportParse, RejectsMalformedJson) {
   EXPECT_FALSE(parse_bench_report("{\"schema\": ", &error).has_value());
   EXPECT_FALSE(parse_bench_report("", &error).has_value());
   EXPECT_FALSE(parse_bench_report("[1,2,3]", &error).has_value());
+  // Nesting far past the parser's depth cap fails cleanly instead of
+  // recursing off the end of the stack.
+  EXPECT_FALSE(
+      parse_bench_report(std::string(1000000, '['), &error).has_value());
+  std::string deep_object;
+  for (int i = 0; i < 1000000; ++i) deep_object += "{\"a\":";
+  EXPECT_FALSE(parse_bench_report(deep_object, &error).has_value());
 }
 
 TEST(BenchReportParse, RejectsMissingSeriesOrContext) {
@@ -306,4 +313,4 @@ TEST(BenchDiff, CustomThreshold) {
 }
 
 }  // namespace
-}  // namespace frame::obs
+}  // namespace frame::bench

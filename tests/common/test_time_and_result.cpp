@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "common/bounded_queue.hpp"
 #include "common/result.hpp"
 #include "common/time.hpp"
 
@@ -57,65 +56,6 @@ TEST(Result, ValueAndError) {
   Result<int> bad(Status(StatusCode::kNotFound, "nope"));
   EXPECT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
-}
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> queue(8);
-  queue.push(1);
-  queue.push(2);
-  EXPECT_EQ(*queue.pop(), 1);
-  EXPECT_EQ(*queue.pop(), 2);
-}
-
-TEST(BoundedQueue, TryPushFailsWhenFull) {
-  BoundedQueue<int> queue(1);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_FALSE(queue.try_push(2));
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(BoundedQueue, CloseWakesConsumers) {
-  BoundedQueue<int> queue(4);
-  std::thread consumer([&] {
-    const auto item = queue.pop();
-    EXPECT_FALSE(item.has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  queue.close();
-  consumer.join();
-  EXPECT_FALSE(queue.push(1));
-}
-
-TEST(BoundedQueue, CloseDrainsRemainingItems) {
-  BoundedQueue<int> queue(4);
-  queue.push(1);
-  queue.push(2);
-  queue.close();
-  EXPECT_EQ(*queue.pop(), 1);
-  EXPECT_EQ(*queue.pop(), 2);
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(BoundedQueue, PopForTimesOut) {
-  BoundedQueue<int> queue(4);
-  const auto item = queue.pop_for(milliseconds(5));
-  EXPECT_FALSE(item.has_value());
-}
-
-TEST(BoundedQueue, ProducerConsumerStress) {
-  BoundedQueue<int> queue(16);
-  constexpr int kItems = 5000;
-  std::atomic<long long> sum{0};
-  std::thread consumer([&] {
-    while (auto item = queue.pop()) sum += *item;
-  });
-  std::thread producer([&] {
-    for (int i = 1; i <= kItems; ++i) queue.push(i);
-    queue.close();
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(sum.load(), static_cast<long long>(kItems) * (kItems + 1) / 2);
 }
 
 }  // namespace
