@@ -201,8 +201,8 @@ std::vector<BenchSeries> run_micro(const Options& options) {
 
   // The two engine paths with obs off, then on: the pair is the runtime
   // cost of obs::hooks.  Obs goes on before each engine is built, because
-  // PrimaryEngine registers its topics with the deadline accountant and the
-  // SLO monitor only while obs is on.
+  // PrimaryEngine registers its topics with the SLO monitor only while obs
+  // is on.
   for (const bool obs_on : {false, true}) {
     obs::EnabledScope scope(obs_on);
     for (const bool replicate : {false, true}) {

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "obs/obs.hpp"
+#include "obs/slo.hpp"
 #include "runtime/system.hpp"
 
 namespace {
@@ -53,7 +54,7 @@ void print_topic_report(EdgeSystem& system) {
     if (last < 2) continue;
     const auto& sub = system.subscriber(system.subscriber_index_of(spec.id));
     const auto loss = sub.loss_stats(spec.id, 1, last - 1);
-    const auto snap = obs::accountant().snapshot(spec.id);
+    const auto snap = obs::slo().snapshot(spec.id, obs::slo().latest_now());
     const bool met = spec.best_effort() ||
                      loss.max_consecutive_losses <= spec.loss_tolerance;
     std::printf("topic %u: delivered=%llu losses=%llu worst-run=%llu "
@@ -62,7 +63,7 @@ void print_topic_report(EdgeSystem& system) {
                 static_cast<unsigned long long>(loss.total_losses),
                 static_cast<unsigned long long>(loss.max_consecutive_losses),
                 spec.loss_tolerance, met ? "MET" : "VIOLATED",
-                snap.loss_budget_exceeded ? " (accountant flagged!)" : "");
+                snap.loss_budget_exceeded ? " (SLO monitor flagged!)" : "");
   }
 }
 
@@ -110,7 +111,7 @@ int main() {
 
   obs::set_enabled(true);
   obs::reset_all();
-  obs::accountant().configure(system.topics());
+  obs::slo().configure(system.topics());
 
   system.start();
   std::printf("[t=0.0s] deployment up: 3 publishers -> Primary (node %u) "

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   }
 
   // Observability must be on before the system constructs its engines so
-  // the deadline accountant learns the topic table.
+  // the SLO monitor learns the topic table.
   obs::set_enabled(true);
 
   SystemOptions options;

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Configure, build, and run the full test suite in one step.
 #
-#   scripts/check.sh                 # plain build into build/
+#   scripts/check.sh                 # plain build into build/, plus a
+#                                    #   -DFRAME_OBS=OFF build into
+#                                    #   build-noobs/
 #   FRAME_SANITIZE=thread scripts/check.sh     # TSan build into build-tsan/
 #   FRAME_SANITIZE=address scripts/check.sh    # ASan+UBSan into build-asan/
 #   FRAME_SANITIZE=undefined scripts/check.sh  # UBSan into build-ubsan/
@@ -71,6 +73,16 @@ for shards in 1 4; do
   FRAME_SHARDS=$shards \
       ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
 done
+
+# The observability-compiled-out build: every target must build with the
+# hooks gone, and the suite must pass with the obs-only tests skipped.
+if [[ -z "$sanitize" ]]; then
+  echo "--- test suite with FRAME_OBS=OFF ---"
+  noobs_dir="$repo/build-noobs"
+  cmake -B "$noobs_dir" -S "$repo" -DFRAME_OBS=OFF
+  cmake --build "$noobs_dir" -j "$(nproc)"
+  ctest --test-dir "$noobs_dir" --output-on-failure -j "$(nproc)" "$@"
+fi
 
 # Smoke test: the real TCP wire path end to end (publish -> broker ->
 # subscriber over loopback sockets through the epoll reactor).

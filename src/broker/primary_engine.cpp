@@ -31,13 +31,10 @@ PrimaryEngine::PrimaryEngine(BrokerConfig config, std::vector<TopicSpec> specs,
   }
   subscribers_.resize(specs_.size());
   store_.configure(specs_.size());
-  // Install the topic table in the deadline accountant so slack/loss hooks
-  // can attribute to Li/Di.  Only when observability is live: the sim runs
+  // Install the topic table in the SLO monitor so slack/loss hooks can
+  // attribute to Li/Di.  Only when observability is live: the sim runs
   // tens of thousands of topics with obs off and must not pay the slots.
-  if (obs::enabled()) {
-    obs::accountant().configure(specs_);
-    obs::slo().configure(specs_);
-  }
+  if (obs::enabled()) obs::slo().configure(specs_);
 }
 
 void PrimaryEngine::subscribe(TopicId topic, NodeId subscriber) {

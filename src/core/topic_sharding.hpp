@@ -16,8 +16,8 @@
 
 namespace frame {
 
-/// Upper bound on shards a broker will run; obs mirrors this for its
-/// per-shard instrument slots (hooks.cpp kMaxShardSeries).
+/// Upper bound on shards a broker will run; obs sizes its per-shard
+/// instrument slots and SLO fold by it (obs/hooks.cpp, obs/slo.hpp).
 inline constexpr std::size_t kMaxShards = 32;
 
 /// splitmix64: cheap avalanche so dense topic ids 0..n-1 spread across

@@ -148,7 +148,7 @@ std::string prometheus_sanitize_name(std::string_view name) {
     const bool digit = c >= '0' && c <= '9';
     out.push_back(alpha || (digit && i > 0) ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 
@@ -191,7 +191,7 @@ ObsSnapshot collect_snapshot(std::size_t max_spans) {
   ObsSnapshot snap;
   snap.metrics = registry().snapshot();
   fold_shard_series(snap.metrics);
-  snap.topics = accountant().snapshot_all();
+  snap.topics = slo().snapshot_all(slo().latest_now());
   snap.spans_recorded = tracer().recorded();
   snap.span_drops = tracer().contention_drops();
   snap.span_dropped_total = tracer().dropped_total();
@@ -332,7 +332,7 @@ std::string to_prometheus(const ObsSnapshot& snap) {
           "# TYPE frame_trace_dropped_total counter\n"
           "frame_trace_dropped_total %" PRIu64 "\n",
           snap.span_dropped_total);
-  // Per-topic series from the deadline accountant.
+  // Per-topic series from the SLO monitor's all-time account.
   for (const auto& t : snap.topics) {
     if (t.topic == kInvalidTopic || t.deliveries + t.dispatches == 0) continue;
     appendf(out, "frame_topic_dispatch_misses_total{topic=\"%u\"} %" PRIu64 "\n",

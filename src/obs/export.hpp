@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/deadline_accountant.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace frame::obs {
@@ -16,7 +16,7 @@ namespace frame::obs {
 /// One coherent-enough view of the whole observability state.
 struct ObsSnapshot {
   MetricsRegistry::Snapshot metrics;
-  std::vector<TopicDeadlineSnapshot> topics;
+  std::vector<TopicSloSnapshot> topics;  ///< the SLO monitor's accounts
   std::vector<SpanEvent> recent_spans;
   std::uint64_t spans_recorded = 0;
   std::uint64_t span_drops = 0;          ///< lost to slot contention
@@ -36,7 +36,7 @@ std::string prometheus_escape_label(std::string_view value);
 /// Minimal JSON string escaping: ", \, and control characters.
 std::string json_escape(std::string_view value);
 
-/// Copies the global registry, accountant, and tracer.
+/// Copies the global registry, SLO monitor, and tracer.
 /// `max_spans` bounds the spans included (0 = none, keeps snapshots small).
 ObsSnapshot collect_snapshot(std::size_t max_spans = 64);
 

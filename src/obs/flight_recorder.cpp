@@ -147,7 +147,7 @@ bool FlightRecorder::write_bundle(TriggerReason reason, const char* detail,
     manifest << "spans_recorded " << dump.recorded << '\n'
              << "spans_dropped " << dump.dropped << '\n'
              << "spans_in_dump " << dump.spans.size() << '\n';
-    // Per-shard queue depths and accountant totals: the quick-look numbers
+    // Per-shard queue depths and per-topic totals: the quick-look numbers
     // an operator reads before opening the JSON.
     for (const auto& [name, value] : snap.metrics.gauges) {
       if (name.rfind("frame_job_queue_depth", 0) == 0) {

@@ -11,7 +11,7 @@
 //     manifest.txt   reason, timestamps, build provenance, chaos seed,
 //                    per-shard queue depths, span-ring accounting
 //     trace.dump     recent spans, frame-trace-dump v1 (stitchable)
-//     metrics.json   full registry + accountant snapshot (export to_json)
+//     metrics.json   full registry + per-topic totals (export to_json)
 //     slo.json       SLO monitor document incl. evaluated alert table
 //
 // Bundles are written at most once per process (atomic latch): the first

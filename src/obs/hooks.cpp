@@ -1,12 +1,13 @@
 // Out-of-line bodies of the instrumentation hooks.  Only reached with
 // observability enabled.  Named instruments are resolved once per process
 // via static-local references; after that each body touches only its own
-// atomics (plus the tracer ring / accountant slots).
+// atomics (plus the tracer ring / SLO monitor slots).
 #include "obs/obs.hpp"
 
 #include <array>
 #include <string>
 
+#include "core/topic_sharding.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
 
@@ -22,17 +23,12 @@ Tracer& tracer() {
 void reset_all() {
   registry().reset();
   tracer().clear();
-  accountant().reset();
   slo().reset();
 }
 
 namespace detail {
 
 namespace {
-
-// Mirrors core/topic_sharding.hpp kMaxShards (obs sits below core in the
-// layering, so the bound is restated rather than included).
-constexpr std::size_t kMaxShardSeries = 32;
 
 template <typename T>
 T& resolve_instrument(const std::string& name);
@@ -66,7 +62,7 @@ class PerShard {
   T& get() {
     const std::size_t shard = thread_shard();
     const std::size_t idx =
-        shard == kNoShard || shard >= kMaxShardSeries ? 0 : shard + 1;
+        shard == kNoShard || shard >= kMaxShards ? 0 : shard + 1;
     T* p = slots_[idx].load(std::memory_order_acquire);
     if (p == nullptr) {
       std::string name(base_);
@@ -81,7 +77,7 @@ class PerShard {
 
  private:
   const char* base_;
-  std::array<std::atomic<T*>, kMaxShardSeries + 1> slots_{};
+  std::array<std::atomic<T*>, kMaxShards + 1> slots_{};
 };
 
 void span(SpanKind kind, TopicId topic, SeqNo seq, NodeId node, TimePoint at,
@@ -145,9 +141,8 @@ void dispatch_executed_slow(TopicId topic, SeqNo seq, TimePoint now,
   span(SpanKind::kDispatchStart, topic, seq, kInvalidNode, now,
        kDurationInfinite, slack, kDurationInfinite, trace_id);
   if (slack != kDurationInfinite) {
-    accountant().on_dispatch_executed(topic, slack);
     slo().on_dispatch_executed(topic, slack, now);
-    // Trigger last, after the span and the accounts: the frozen bundle
+    // Trigger last, after the span and the account: the frozen bundle
     // must contain the very event that fired it.
     if (slack < 0) {
       flight_recorder().trigger(TriggerReason::kLemma2Miss, "", now);
@@ -162,7 +157,6 @@ void replicate_executed_slow(TopicId topic, SeqNo seq, TimePoint now,
   span(SpanKind::kReplicated, topic, seq, kInvalidNode, now,
        kDurationInfinite, kDurationInfinite, slack, trace_id);
   if (slack != kDurationInfinite) {
-    accountant().on_replication_executed(topic, slack);
     slo().on_replication_executed(topic, slack, now);
     if (slack < 0) {
       flight_recorder().trigger(TriggerReason::kLemma1Miss, "", now);
@@ -204,9 +198,7 @@ void delivered_slow(TopicId topic, SeqNo seq, TimePoint now, Duration e2e,
   latency.record(static_cast<double>(e2e));
   span(SpanKind::kDelivered, topic, seq, kInvalidNode, now, kDurationInfinite,
        e2e, kDurationInfinite, trace_id);
-  const auto outcome = accountant().on_delivery(topic, seq, e2e);
-  slo().on_delivery(topic, e2e, outcome.e2e_miss, outcome.worst_streak, now);
-  if (outcome.breached_now) {
+  if (slo().on_delivery(topic, seq, e2e, now)) {
     flight_recorder().trigger(TriggerReason::kLossStreakBreach, "", now);
   }
 }

@@ -1,6 +1,7 @@
 // Observability facade: the global on/off switch, the process-wide
-// singletons (MetricsRegistry / Tracer / DeadlineAccountant), and the
-// instrumentation hooks the engines call.
+// singletons (MetricsRegistry / Tracer; the per-topic deadline account is
+// SloMonitor in obs/slo.hpp), and the instrumentation hooks the engines
+// call.
 //
 // Cost contract: with observability disabled (the default), every hook is
 // one relaxed atomic load plus a predictable branch -- measured by the
@@ -15,7 +16,6 @@
 
 #include "common/time.hpp"
 #include "common/types.hpp"
-#include "obs/deadline_accountant.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -117,12 +117,9 @@ class ShardScope {
 
 MetricsRegistry& registry();
 Tracer& tracer();
-inline DeadlineAccountant& accountant() {
-  return DeadlineAccountant::instance();
-}
 
-/// Zeroes every instrument, the tracer ring, the accountant and the SLO
-/// monitor (topic tables are kept).  For scoping a measurement run.
+/// Zeroes every instrument, the tracer ring and the SLO monitor (its topic
+/// table is kept).  For scoping a measurement run.
 void reset_all();
 
 // ---------------------------------------------------------------------------

@@ -45,12 +45,46 @@ bool fires_when_above(SloMetric metric) {
   }
 }
 
+namespace {
+
+std::vector<AlertRule> default_rules() {
+  // Burn-rate pairs follow the SRE multiwindow recipe: a fast-burn page
+  // (14.4x consumes a 30-day budget in ~2 days; here it simply means "the
+  // tail is collapsing now") on the short window, and a slow-burn ticket
+  // (1x = budget being consumed exactly at the allowed rate) on the long
+  // window.  Thresholds fire strictly-above, so a system exactly on budget
+  // does not alert.
+  return {
+      {"lemma2-burn-fast", SloMetric::kDispatchBurnRate, 14.4, 0,
+       Severity::kCritical},
+      {"lemma2-burn-slow", SloMetric::kDispatchBurnRate, 1.0,
+       kDurationInfinite, Severity::kWarning},
+      {"lemma1-burn-fast", SloMetric::kReplicationBurnRate, 14.4, 0,
+       Severity::kCritical},
+      {"lemma1-burn-slow", SloMetric::kReplicationBurnRate, 1.0,
+       kDurationInfinite, Severity::kWarning},
+      {"e2e-burn-fast", SloMetric::kE2eBurnRate, 14.4, 0,
+       Severity::kCritical},
+      {"li-streak-proximity", SloMetric::kLossStreakProximity, 0.75, 0,
+       Severity::kWarning},
+      {"li-streak-breach", SloMetric::kLossStreakProximity, 1.0, 0,
+       Severity::kCritical},
+      {"degraded-mode", SloMetric::kDegradedMode, 0.5, 0,
+       Severity::kWarning},
+      {"dispatch-headroom-exhausted", SloMetric::kDispatchHeadroomMin, 0.0, 0,
+       Severity::kWarning},
+  };
+}
+
+}  // namespace
+
+SloMonitor::SloMonitor()
+    : rules_(default_rules()), firing_since_(rules_.size(), 0) {}
+
 SloMonitor& SloMonitor::instance() {
   static SloMonitor monitor;
   return monitor;
 }
-
-#ifndef FRAME_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // WindowedCounter / WindowedMin: a fixed ring of time buckets.  `last_` is
@@ -62,8 +96,8 @@ SloMonitor& SloMonitor::instance() {
 
 void SloMonitor::WindowedCounter::advance(std::int64_t bucket_index) {
   if (bucket_index <= last_) return;
-  const std::int64_t steps =
-      std::min<std::int64_t>(bucket_index - last_, kBuckets);
+  const std::int64_t steps = std::min<std::int64_t>(
+      bucket_index - last_, static_cast<std::int64_t>(kBuckets));
   for (std::int64_t i = 1; i <= steps; ++i) {
     buckets_[static_cast<std::size_t>((last_ + i) % kBuckets)] = 0;
   }
@@ -72,6 +106,7 @@ void SloMonitor::WindowedCounter::advance(std::int64_t bucket_index) {
 
 void SloMonitor::WindowedCounter::add(std::int64_t bucket_index,
                                       std::uint64_t n) {
+  total_ += n;
   if (last_ < 0) last_ = bucket_index;
   advance(bucket_index);
   // A stale event (older than the ring) is counted in the oldest live
@@ -98,15 +133,15 @@ std::uint64_t SloMonitor::WindowedCounter::sum(std::int64_t now_bucket,
 void SloMonitor::WindowedCounter::reset() {
   buckets_.fill(0);
   last_ = -1;
+  total_ = 0;
 }
 
 void SloMonitor::WindowedMin::advance(std::int64_t bucket_index) {
   if (bucket_index <= last_) return;
-  const std::int64_t steps =
-      std::min<std::int64_t>(bucket_index - last_,
-                             static_cast<std::int64_t>(buckets_.size()));
+  const std::int64_t steps = std::min<std::int64_t>(
+      bucket_index - last_, static_cast<std::int64_t>(kBuckets));
   for (std::int64_t i = 1; i <= steps; ++i) {
-    buckets_[static_cast<std::size_t>((last_ + i) % buckets_.size())] =
+    buckets_[static_cast<std::size_t>((last_ + i) % kBuckets)] =
         kDurationInfinite;
   }
   last_ = bucket_index;
@@ -118,10 +153,9 @@ void SloMonitor::WindowedMin::add(std::int64_t bucket_index, Duration value) {
     last_ = bucket_index;
   }
   advance(bucket_index);
-  const std::int64_t oldest =
-      last_ - static_cast<std::int64_t>(buckets_.size()) + 1;
+  const std::int64_t oldest = last_ - static_cast<std::int64_t>(kBuckets) + 1;
   const std::int64_t idx = std::max(bucket_index, oldest);
-  Duration& slot = buckets_[static_cast<std::size_t>(idx % buckets_.size())];
+  Duration& slot = buckets_[static_cast<std::size_t>(idx % kBuckets)];
   slot = std::min(slot, value);
 }
 
@@ -129,13 +163,13 @@ Duration SloMonitor::WindowedMin::min(std::int64_t now_bucket,
                                       std::size_t buckets_back) const {
   if (last_ < 0) return kDurationInfinite;
   Duration lowest = kDurationInfinite;
-  const std::size_t span = std::min(buckets_back, buckets_.size());
+  const std::size_t span = std::min(buckets_back, kBuckets);
   for (std::size_t i = 0; i < span; ++i) {
     const std::int64_t idx = now_bucket - static_cast<std::int64_t>(i);
     if (idx < 0 || idx > last_) continue;
-    if (idx <= last_ - static_cast<std::int64_t>(buckets_.size())) break;
-    lowest = std::min(
-        lowest, buckets_[static_cast<std::size_t>(idx % buckets_.size())]);
+    if (idx <= last_ - static_cast<std::int64_t>(kBuckets)) break;
+    lowest =
+        std::min(lowest, buckets_[static_cast<std::size_t>(idx % kBuckets)]);
   }
   return lowest;
 }
@@ -146,79 +180,24 @@ void SloMonitor::WindowedMin::reset() {
 }
 
 // ---------------------------------------------------------------------------
-// Configuration / topology
+// Topology
 // ---------------------------------------------------------------------------
 
 void SloMonitor::configure(const std::vector<TopicSpec>& specs) {
   configure_lock_.lock();
   for (const auto& spec : specs) {
     while (slots_.size() <= spec.id) slots_.emplace_back();
-    slots_[spec.id].loss_tolerance = spec.loss_tolerance;
-    slots_[spec.id].deadline = spec.deadline;
+    // Under the slot lock: a Backup promoted at runtime re-configures the
+    // same topics while deliveries are being accounted.
+    TopicSlot& s = slots_[spec.id];
+    s.lock.lock();
+    s.loss_tolerance = spec.loss_tolerance;
+    s.deadline = spec.deadline;
+    s.lock.unlock();
   }
   count_.store(slots_.size(), std::memory_order_release);
   configure_lock_.unlock();
 }
-
-void SloMonitor::set_config(const Config& config) {
-  std::lock_guard<std::mutex> guard(config_mutex_);
-  config_ = config;
-  if (config_.short_window <= 0) config_.short_window = seconds(1);
-  // The ring has kBuckets buckets of short_window/8 each, so the longest
-  // representable window is 8x short; clamp the long window accordingly
-  // (leaving headroom against partial edge buckets).
-  const Duration max_long = config_.short_window *
-      static_cast<Duration>(WindowedCounter::kBuckets / 8 - 1);
-  config_.long_window = std::clamp(config_.long_window,
-                                   config_.short_window, max_long);
-  if (config_.error_budget <= 0) config_.error_budget = 0.001;
-}
-
-SloMonitor::Config SloMonitor::config() const {
-  std::lock_guard<std::mutex> guard(config_mutex_);
-  return config_;
-}
-
-void SloMonitor::set_rules(std::vector<AlertRule> rules) {
-  std::lock_guard<std::mutex> guard(config_mutex_);
-  rules_ = std::move(rules);
-  rules_installed_ = true;
-  firing_since_.assign(rules_.size(), 0);
-  critical_firing_.store(false, std::memory_order_relaxed);
-}
-
-std::vector<AlertRule> SloMonitor::default_rules() {
-  // Burn-rate pairs follow the SRE multiwindow recipe: a fast-burn page
-  // (14.4x consumes a 30-day budget in ~2 days; here it simply means "the
-  // tail is collapsing now") on the short window, and a slow-burn ticket
-  // (1x = budget being consumed exactly at the allowed rate) on the long
-  // window.  Thresholds fire strictly-above, so a system exactly on budget
-  // does not alert.
-  return {
-      {"lemma2-burn-fast", SloMetric::kDispatchBurnRate, 14.4, 0,
-       Severity::kCritical, kAllTopics},
-      {"lemma2-burn-slow", SloMetric::kDispatchBurnRate, 1.0,
-       kDurationInfinite, Severity::kWarning, kAllTopics},
-      {"lemma1-burn-fast", SloMetric::kReplicationBurnRate, 14.4, 0,
-       Severity::kCritical, kAllTopics},
-      {"lemma1-burn-slow", SloMetric::kReplicationBurnRate, 1.0,
-       kDurationInfinite, Severity::kWarning, kAllTopics},
-      {"e2e-burn-fast", SloMetric::kE2eBurnRate, 14.4, 0,
-       Severity::kCritical, kAllTopics},
-      {"li-streak-proximity", SloMetric::kLossStreakProximity, 0.75, 0,
-       Severity::kWarning, kAllTopics},
-      {"li-streak-breach", SloMetric::kLossStreakProximity, 1.0, 0,
-       Severity::kCritical, kAllTopics},
-      {"degraded-mode", SloMetric::kDegradedMode, 0.5, 0,
-       Severity::kWarning, kAllTopics},
-      {"dispatch-headroom-exhausted", SloMetric::kDispatchHeadroomMin, 0.0, 0,
-       Severity::kWarning, kAllTopics},
-  };
-}
-
-// ---------------------------------------------------------------------------
-// Feeds
-// ---------------------------------------------------------------------------
 
 SloMonitor::TopicSlot* SloMonitor::slot(TopicId topic) {
   if (topic >= count_.load(std::memory_order_acquire)) return nullptr;
@@ -232,37 +211,12 @@ const SloMonitor::TopicSlot* SloMonitor::slot(TopicId topic) const {
 
 SloMonitor::ShardSlot& SloMonitor::shard_slot() {
   const std::size_t shard = thread_shard();
-  const std::size_t idx =
-      shard == kNoShard || shard >= kMaxShardSlots ? 0 : shard;
+  const std::size_t idx = shard == kNoShard || shard >= kMaxShards ? 0 : shard;
   std::size_t seen = max_shard_seen_.load(std::memory_order_relaxed);
   while (idx > seen && !max_shard_seen_.compare_exchange_weak(
                            seen, idx, std::memory_order_relaxed)) {
   }
   return shard_slots_[idx];
-}
-
-Duration SloMonitor::bucket_width() const {
-  // config_.short_window is only written under config_mutex_, but the feed
-  // paths read it lock-free: a torn read is impossible (int64 store) and a
-  // stale width merely re-bins a handful of events during reconfiguration.
-  const Duration w = config_.short_window / 8;
-  return w > 0 ? w : milliseconds(125);
-}
-
-std::int64_t SloMonitor::bucket_of(TimePoint now) const {
-  const Duration width = bucket_width();
-  if (now < 0) return 0;
-  return now / width;
-}
-
-std::size_t SloMonitor::buckets_for(Duration window) const {
-  const Duration width = bucket_width();
-  const Duration w = window <= 0 ? config_.short_window
-                     : window == kDurationInfinite ? config_.long_window
-                                                   : window;
-  const std::int64_t n = (w + width - 1) / width;
-  return static_cast<std::size_t>(
-      std::clamp<std::int64_t>(n, 1, WindowedCounter::kBuckets));
 }
 
 void SloMonitor::note_now(TimePoint now) {
@@ -271,6 +225,10 @@ void SloMonitor::note_now(TimePoint now) {
                           cur, now, std::memory_order_relaxed)) {
   }
 }
+
+// ---------------------------------------------------------------------------
+// Feeds
+// ---------------------------------------------------------------------------
 
 void SloMonitor::on_dispatch_executed(TopicId topic, Duration laxity,
                                       TimePoint now) {
@@ -316,18 +274,37 @@ void SloMonitor::on_replication_executed(TopicId topic, Duration laxity,
   shard.lock.unlock();
 }
 
-void SloMonitor::on_delivery(TopicId topic, Duration e2e, bool e2e_miss,
-                             std::uint64_t worst_streak, TimePoint now) {
-  (void)e2e;
+bool SloMonitor::on_delivery(TopicId topic, SeqNo seq, Duration e2e,
+                             TimePoint now) {
   note_now(now);
+  TopicSlot* s = slot(topic);
+  if (s == nullptr) return false;
   const std::int64_t bucket = bucket_of(now);
-  if (TopicSlot* s = slot(topic)) {
-    s->lock.lock();
-    s->deliveries.add(bucket, 1);
-    if (e2e_miss) s->e2e_misses.add(bucket, 1);
-    s->worst_streak = std::max(s->worst_streak, worst_streak);
-    s->lock.unlock();
+  bool breached_now = false;
+  s->lock.lock();
+  s->deliveries.add(bucket, 1);
+  if (e2e > s->deadline) s->e2e_misses.add(bucket, 1);
+  // Consecutive-loss streaks: deliveries of a topic arrive in order except
+  // around recovery, so a gap behind the highest seq seen so far is a run
+  // of losses.  A later out-of-order fill-in (recovery copy) is not
+  // subtracted back -- the account deliberately reports the worst streak
+  // ever *observed*, which is the quantity Li bounds.
+  if (seq > s->last_seq + 1) {
+    const std::uint64_t streak = seq - s->last_seq - 1;
+    s->losses_total += streak;
+    s->max_loss_streak = std::max(s->max_loss_streak, streak);
+    if (s->loss_tolerance != kLossInfinite && streak > s->loss_tolerance &&
+        !s->loss_budget_exceeded) {
+      // Only the delivery that flips the flag reports the breach (the
+      // flight-recorder trigger wants the first occurrence).
+      s->loss_budget_exceeded = true;
+      breached_now = true;
+    }
   }
+  s->last_seq = std::max(s->last_seq, seq);
+  s->lock.unlock();
+  s->e2e_latency.record(static_cast<double>(e2e));
+  return breached_now;
 }
 
 // ---------------------------------------------------------------------------
@@ -336,72 +313,83 @@ void SloMonitor::on_delivery(TopicId topic, Duration e2e, bool e2e_miss,
 
 namespace {
 
-double burn(std::uint64_t events, std::uint64_t misses, double budget) {
+double burn(std::uint64_t events, std::uint64_t misses) {
   if (events == 0) return 0;
-  return (static_cast<double>(misses) / static_cast<double>(events)) / budget;
+  return (static_cast<double>(misses) / static_cast<double>(events)) /
+         SloMonitor::kErrorBudget;
 }
 
 }  // namespace
 
-TopicSloSnapshot SloMonitor::snapshot(TopicId topic, TimePoint now) {
+TopicSloSnapshot SloMonitor::counts(TopicId topic, TimePoint now) const {
   TopicSloSnapshot snap;
-  TopicSlot* s = slot(topic);
+  const TopicSlot* s = slot(topic);
   if (s == nullptr) return snap;
-  const Config cfg = config();
   const std::int64_t bucket = bucket_of(now);
-  const std::size_t short_back = buckets_for(cfg.short_window);
-  const std::size_t long_back = buckets_for(cfg.long_window);
-
   snap.topic = topic;
-  snap.loss_tolerance = s->loss_tolerance;
-  snap.deadline = s->deadline;
 
   s->lock.lock();
-  snap.dispatches_short = s->dispatches.sum(bucket, short_back);
-  snap.dispatch_misses_short = s->dispatch_misses.sum(bucket, short_back);
-  snap.dispatches_long = s->dispatches.sum(bucket, long_back);
-  snap.dispatch_misses_long = s->dispatch_misses.sum(bucket, long_back);
-  snap.replications_short = s->replications.sum(bucket, short_back);
-  snap.replication_misses_short = s->replication_misses.sum(bucket, short_back);
-  snap.replications_long = s->replications.sum(bucket, long_back);
-  snap.replication_misses_long = s->replication_misses.sum(bucket, long_back);
-  snap.deliveries_short = s->deliveries.sum(bucket, short_back);
-  snap.e2e_misses_short = s->e2e_misses.sum(bucket, short_back);
-  snap.deliveries_long = s->deliveries.sum(bucket, long_back);
-  snap.e2e_misses_long = s->e2e_misses.sum(bucket, long_back);
-  snap.worst_streak = s->worst_streak;
-  snap.dispatch_headroom_min = s->dispatch_headroom_min.min(bucket, short_back);
+  snap.loss_tolerance = s->loss_tolerance;
+  snap.deadline = s->deadline;
+  snap.dispatches = s->dispatches.total();
+  snap.dispatch_misses = s->dispatch_misses.total();
+  snap.replications = s->replications.total();
+  snap.replication_misses = s->replication_misses.total();
+  snap.deliveries = s->deliveries.total();
+  snap.e2e_misses = s->e2e_misses.total();
+  snap.losses_total = s->losses_total;
+  snap.max_loss_streak = s->max_loss_streak;
+  snap.loss_budget_exceeded = s->loss_budget_exceeded;
+  snap.dispatches_short = s->dispatches.sum(bucket, kShortBuckets);
+  snap.dispatch_misses_short = s->dispatch_misses.sum(bucket, kShortBuckets);
+  snap.dispatches_long = s->dispatches.sum(bucket, kBuckets);
+  snap.dispatch_misses_long = s->dispatch_misses.sum(bucket, kBuckets);
+  snap.replications_short = s->replications.sum(bucket, kShortBuckets);
+  snap.replication_misses_short =
+      s->replication_misses.sum(bucket, kShortBuckets);
+  snap.replications_long = s->replications.sum(bucket, kBuckets);
+  snap.replication_misses_long =
+      s->replication_misses.sum(bucket, kBuckets);
+  snap.deliveries_short = s->deliveries.sum(bucket, kShortBuckets);
+  snap.e2e_misses_short = s->e2e_misses.sum(bucket, kShortBuckets);
+  snap.deliveries_long = s->deliveries.sum(bucket, kBuckets);
+  snap.e2e_misses_long = s->e2e_misses.sum(bucket, kBuckets);
+  snap.dispatch_headroom_min =
+      s->dispatch_headroom_min.min(bucket, kShortBuckets);
   snap.replication_headroom_min =
-      s->replication_headroom_min.min(bucket, short_back);
+      s->replication_headroom_min.min(bucket, kShortBuckets);
   s->lock.unlock();
 
   snap.dispatch_burn_short =
-      burn(snap.dispatches_short, snap.dispatch_misses_short, cfg.error_budget);
+      burn(snap.dispatches_short, snap.dispatch_misses_short);
   snap.dispatch_burn_long =
-      burn(snap.dispatches_long, snap.dispatch_misses_long, cfg.error_budget);
-  snap.replication_burn_short = burn(snap.replications_short,
-                                     snap.replication_misses_short,
-                                     cfg.error_budget);
-  snap.replication_burn_long = burn(snap.replications_long,
-                                    snap.replication_misses_long,
-                                    cfg.error_budget);
-  snap.e2e_burn_short =
-      burn(snap.deliveries_short, snap.e2e_misses_short, cfg.error_budget);
-  snap.e2e_burn_long =
-      burn(snap.deliveries_long, snap.e2e_misses_long, cfg.error_budget);
+      burn(snap.dispatches_long, snap.dispatch_misses_long);
+  snap.replication_burn_short =
+      burn(snap.replications_short, snap.replication_misses_short);
+  snap.replication_burn_long =
+      burn(snap.replications_long, snap.replication_misses_long);
+  snap.e2e_burn_short = burn(snap.deliveries_short, snap.e2e_misses_short);
+  snap.e2e_burn_long = burn(snap.deliveries_long, snap.e2e_misses_long);
 
   if (snap.loss_tolerance != kLossInfinite) {
     const double li = static_cast<double>(std::max<std::uint32_t>(
         snap.loss_tolerance, 1));
-    snap.streak_proximity = static_cast<double>(snap.worst_streak) / li;
+    snap.streak_proximity = static_cast<double>(snap.max_loss_streak) / li;
   }
-
-  snap.dispatch_headroom = s->dispatch_headroom.snapshot();
-  snap.replication_headroom = s->replication_headroom.snapshot();
   return snap;
 }
 
-std::vector<TopicSloSnapshot> SloMonitor::snapshot_all(TimePoint now) {
+TopicSloSnapshot SloMonitor::snapshot(TopicId topic, TimePoint now) const {
+  TopicSloSnapshot snap = counts(topic, now);
+  if (const TopicSlot* s = slot(topic)) {
+    snap.e2e_latency = s->e2e_latency.snapshot();
+    snap.dispatch_headroom = s->dispatch_headroom.snapshot();
+    snap.replication_headroom = s->replication_headroom.snapshot();
+  }
+  return snap;
+}
+
+std::vector<TopicSloSnapshot> SloMonitor::snapshot_all(TimePoint now) const {
   std::vector<TopicSloSnapshot> out;
   const std::size_t n = topic_count();
   out.reserve(n);
@@ -411,52 +399,47 @@ std::vector<TopicSloSnapshot> SloMonitor::snapshot_all(TimePoint now) {
   return out;
 }
 
-std::vector<ShardSloSnapshot> SloMonitor::snapshot_shards(TimePoint now) {
+std::vector<ShardSloSnapshot> SloMonitor::snapshot_shards(
+    TimePoint now) const {
   std::vector<ShardSloSnapshot> out;
-  const Config cfg = config();
   const std::int64_t bucket = bucket_of(now);
-  const std::size_t short_back = buckets_for(cfg.short_window);
   const std::size_t upto = max_shard_seen_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i <= upto; ++i) {
-    ShardSlot& s = shard_slots_[i];
+    const ShardSlot& s = shard_slots_[i];
     ShardSloSnapshot snap;
     snap.shard = i;
     s.lock.lock();
-    snap.dispatches_short = s.dispatches.sum(bucket, short_back);
-    snap.dispatch_misses_short = s.dispatch_misses.sum(bucket, short_back);
-    snap.replications_short = s.replications.sum(bucket, short_back);
+    snap.dispatches_short = s.dispatches.sum(bucket, kShortBuckets);
+    snap.dispatch_misses_short = s.dispatch_misses.sum(bucket, kShortBuckets);
+    snap.replications_short = s.replications.sum(bucket, kShortBuckets);
     snap.replication_misses_short =
-        s.replication_misses.sum(bucket, short_back);
-    snap.dispatch_headroom_min = s.dispatch_headroom_min.min(bucket,
-                                                            short_back);
+        s.replication_misses.sum(bucket, kShortBuckets);
+    snap.dispatch_headroom_min =
+        s.dispatch_headroom_min.min(bucket, kShortBuckets);
     s.lock.unlock();
-    snap.dispatch_burn_short = burn(snap.dispatches_short,
-                                    snap.dispatch_misses_short,
-                                    cfg.error_budget);
+    snap.dispatch_burn_short =
+        burn(snap.dispatches_short, snap.dispatch_misses_short);
     out.push_back(snap);
   }
   return out;
 }
 
-double SloMonitor::metric_value(const AlertRule& rule, TimePoint now) {
+double SloMonitor::metric_value(const AlertRule& rule, TimePoint now) const {
   if (rule.metric == SloMetric::kDegradedMode) {
     return static_cast<double>(
         registry().gauge("frame_degraded_mode").value());
   }
-  // Wildcard rules take the worst value across topics: max for
-  // fires-when-above metrics, min for headroom.
+  // Rules take the worst value across topics: max for fires-when-above
+  // metrics, min for headroom.
   const bool above = fires_when_above(rule.metric);
+  const bool long_window = rule.window > kShortWindow;
   double worst = above ? 0 : std::numeric_limits<double>::infinity();
   bool any = false;
   const std::size_t n = topic_count();
   for (std::size_t i = 0; i < n; ++i) {
-    const TopicId topic = static_cast<TopicId>(i);
-    if (rule.topic != kAllTopics && rule.topic != topic) continue;
-    const TopicSloSnapshot snap = snapshot(topic, now);
+    const TopicSloSnapshot snap = counts(static_cast<TopicId>(i), now);
     double v = 0;
     bool applicable = true;
-    const bool long_window = rule.window == kDurationInfinite ||
-        (rule.window > 0 && rule.window > config().short_window);
     switch (rule.metric) {
       case SloMetric::kDispatchBurnRate:
         v = long_window ? snap.dispatch_burn_long : snap.dispatch_burn_short;
@@ -495,64 +478,47 @@ double SloMonitor::metric_value(const AlertRule& rule, TimePoint now) {
 }
 
 std::vector<AlertState> SloMonitor::evaluate(TimePoint now) {
+  // metric_value takes topic spinlocks; compute every value before
+  // entering the firing-state section.
   std::vector<AlertState> out;
+  out.reserve(rules_.size());
+  for (const auto& rule : rules_) {
+    AlertState state;
+    state.rule = rule;
+    state.value = metric_value(rule, now);
+    state.firing = fires_when_above(rule.metric)
+                       ? state.value > rule.threshold
+                       : state.value < rule.threshold;
+    out.push_back(std::move(state));
+  }
   bool any_critical = false;
-  std::string first_critical_transition;
+  const char* first_critical_transition = nullptr;
   {
-    std::lock_guard<std::mutex> guard(config_mutex_);
-    if (!rules_installed_) {
-      rules_ = default_rules();
-      rules_installed_ = true;
-      firing_since_.assign(rules_.size(), 0);
-    }
-  }
-  // metric_value takes topic spinlocks and config_mutex_ (via config());
-  // compute all values before re-entering the firing-state section.
-  std::vector<double> values;
-  {
-    std::vector<AlertRule> rules_copy;
-    {
-      std::lock_guard<std::mutex> guard(config_mutex_);
-      rules_copy = rules_;
-    }
-    values.reserve(rules_copy.size());
-    for (const auto& rule : rules_copy) {
-      values.push_back(metric_value(rule, now));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> guard(config_mutex_);
-    out.reserve(rules_.size());
-    for (std::size_t i = 0; i < rules_.size() && i < values.size(); ++i) {
-      AlertState state;
-      state.rule = rules_[i];
-      state.value = values[i];
-      state.firing = fires_when_above(state.rule.metric)
-                         ? state.value > state.rule.threshold
-                         : state.value < state.rule.threshold;
-      if (state.firing) {
-        if (firing_since_[i] == 0) {
-          // 0 marks "not firing"; a transition at t=0 still needs a mark.
-          firing_since_[i] = now > 0 ? now : 1;
-          if (state.rule.severity == Severity::kCritical &&
-              first_critical_transition.empty()) {
-            first_critical_transition = state.rule.name;
-          }
-        }
-        if (state.rule.severity == Severity::kCritical) any_critical = true;
-        state.since = firing_since_[i];
-      } else {
+    std::lock_guard<std::mutex> guard(firing_mutex_);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      AlertState& state = out[i];
+      if (!state.firing) {
         firing_since_[i] = 0;
+        continue;
       }
-      out.push_back(std::move(state));
+      const bool critical = state.rule.severity == Severity::kCritical;
+      if (firing_since_[i] == 0) {
+        // 0 marks "not firing"; a transition at t=0 still needs a mark.
+        firing_since_[i] = now > 0 ? now : 1;
+        if (critical && first_critical_transition == nullptr) {
+          first_critical_transition = rules_[i].name.c_str();
+        }
+      }
+      if (critical) any_critical = true;
+      state.since = firing_since_[i];
     }
     critical_firing_.store(any_critical, std::memory_order_relaxed);
   }
   // Outside every SloMonitor lock: the recorder snapshots the registry and
-  // may call back into slo_json (which re-enters evaluate-free paths).
-  if (!first_critical_transition.empty()) {
+  // may call back into slo_json (which re-enters evaluate).
+  if (first_critical_transition != nullptr) {
     flight_recorder().trigger(TriggerReason::kCriticalAlert,
-                              first_critical_transition.c_str(), now);
+                              first_critical_transition, now);
   }
   return out;
 }
@@ -584,11 +550,7 @@ void append_alerts(std::ostringstream& os,
        << to_string(a.rule.severity) << "\",\"threshold\":"
        << a.rule.threshold << ",\"value\":" << a.value
        << ",\"firing\":" << (a.firing ? "true" : "false")
-       << ",\"since_ns\":" << a.since;
-    if (a.rule.topic != kAllTopics) {
-      os << ",\"topic\":" << a.rule.topic;
-    }
-    os << '}';
+       << ",\"since_ns\":" << a.since << '}';
   }
   os << ']';
 }
@@ -608,13 +570,12 @@ std::string SloMonitor::alerts_json(TimePoint now) {
 
 std::string SloMonitor::slo_json(TimePoint now) {
   if (now == 0) now = latest_now();
-  const Config cfg = config();
   const std::vector<AlertState> alerts = evaluate(now);
   std::ostringstream os;
   os << "{\"now_ns\":" << now
-     << ",\"short_window_ns\":" << cfg.short_window
-     << ",\"long_window_ns\":" << cfg.long_window
-     << ",\"error_budget\":" << cfg.error_budget
+     << ",\"short_window_ns\":" << kShortWindow
+     << ",\"long_window_ns\":" << kLongWindow
+     << ",\"error_budget\":" << kErrorBudget
      << ",\"critical_firing\":" << (critical_firing() ? "true" : "false")
      << ",\"topics\":[";
   const std::vector<TopicSloSnapshot> topics = snapshot_all(now);
@@ -638,7 +599,7 @@ std::string SloMonitor::slo_json(TimePoint now) {
        << ",\"replication_burn_long\":" << t.replication_burn_long
        << ",\"e2e_burn_short\":" << t.e2e_burn_short
        << ",\"e2e_burn_long\":" << t.e2e_burn_long
-       << ",\"worst_streak\":" << t.worst_streak
+       << ",\"worst_streak\":" << t.max_loss_streak
        << ",\"streak_proximity\":" << t.streak_proximity << ',';
     append_duration_field(os, "dispatch_headroom_min_ns",
                           t.dispatch_headroom_min);
@@ -680,8 +641,12 @@ void SloMonitor::reset() {
     s.e2e_misses.reset();
     s.dispatch_headroom_min.reset();
     s.replication_headroom_min.reset();
-    s.worst_streak = 0;
+    s.losses_total = 0;
+    s.max_loss_streak = 0;
+    s.last_seq = 0;
+    s.loss_budget_exceeded = false;
     s.lock.unlock();
+    s.e2e_latency.reset();
     s.dispatch_headroom.reset();
     s.replication_headroom.reset();
   }
@@ -696,68 +661,9 @@ void SloMonitor::reset() {
   }
   latest_now_.store(0, std::memory_order_relaxed);
   configure_lock_.unlock();
-  std::lock_guard<std::mutex> guard(config_mutex_);
-  firing_since_.assign(rules_.size(), 0);
+  std::lock_guard<std::mutex> guard(firing_mutex_);
+  std::fill(firing_since_.begin(), firing_since_.end(), 0);
   critical_firing_.store(false, std::memory_order_relaxed);
 }
-
-#else  // FRAME_OBS_DISABLED
-
-// With observability compiled out the monitor is inert: hooks never run,
-// and the endpoint surfaces report an empty document.
-
-void SloMonitor::configure(const std::vector<TopicSpec>&) {}
-void SloMonitor::set_config(const Config&) {}
-SloMonitor::Config SloMonitor::config() const { return Config{}; }
-void SloMonitor::set_rules(std::vector<AlertRule>) {}
-std::vector<AlertRule> SloMonitor::default_rules() { return {}; }
-void SloMonitor::on_dispatch_executed(TopicId, Duration, TimePoint) {}
-void SloMonitor::on_replication_executed(TopicId, Duration, TimePoint) {}
-void SloMonitor::on_delivery(TopicId, Duration, bool, std::uint64_t,
-                             TimePoint) {}
-std::vector<AlertState> SloMonitor::evaluate(TimePoint) { return {}; }
-TopicSloSnapshot SloMonitor::snapshot(TopicId, TimePoint) { return {}; }
-std::vector<TopicSloSnapshot> SloMonitor::snapshot_all(TimePoint) {
-  return {};
-}
-std::vector<ShardSloSnapshot> SloMonitor::snapshot_shards(TimePoint) {
-  return {};
-}
-std::string SloMonitor::alerts_json(TimePoint) {
-  return "{\"alerts\":[]}";
-}
-std::string SloMonitor::slo_json(TimePoint) {
-  return "{\"topics\":[],\"shards\":[],\"alerts\":[]}";
-}
-void SloMonitor::reset() {}
-
-SloMonitor::TopicSlot* SloMonitor::slot(TopicId) { return nullptr; }
-const SloMonitor::TopicSlot* SloMonitor::slot(TopicId) const {
-  return nullptr;
-}
-SloMonitor::ShardSlot& SloMonitor::shard_slot() { return shard_slots_[0]; }
-Duration SloMonitor::bucket_width() const { return milliseconds(125); }
-std::int64_t SloMonitor::bucket_of(TimePoint) const { return 0; }
-std::size_t SloMonitor::buckets_for(Duration) const { return 1; }
-double SloMonitor::metric_value(const AlertRule&, TimePoint) { return 0; }
-void SloMonitor::note_now(TimePoint) {}
-
-// WindowedCounter/WindowedMin still need definitions (odr-used via the
-// class layout) — keep them trivial.
-void SloMonitor::WindowedCounter::advance(std::int64_t) {}
-void SloMonitor::WindowedCounter::add(std::int64_t, std::uint64_t) {}
-std::uint64_t SloMonitor::WindowedCounter::sum(std::int64_t,
-                                               std::size_t) const {
-  return 0;
-}
-void SloMonitor::WindowedCounter::reset() {}
-void SloMonitor::WindowedMin::advance(std::int64_t) {}
-void SloMonitor::WindowedMin::add(std::int64_t, Duration) {}
-Duration SloMonitor::WindowedMin::min(std::int64_t, std::size_t) const {
-  return kDurationInfinite;
-}
-void SloMonitor::WindowedMin::reset() {}
-
-#endif  // FRAME_OBS_DISABLED
 
 }  // namespace frame::obs

@@ -118,7 +118,6 @@ EdgeSystem::EdgeSystem(SystemOptions options, std::vector<ProxyGroup> proxies)
   obs::flight_recorder().configure_from_env();
   obs::flight_recorder().set_wall_anchor(wall_now_ns() - clock_.now());
   obs::flight_recorder().install_fatal_handlers();
-  if (obs::enabled()) obs::slo().configure(topics_);
 
   if (options_.telemetry_port.has_value()) {
     obs::HttpExporter::Options http;

@@ -3,8 +3,9 @@
 // Each scenario builds the Fig. 6 deployment over a FaultyBus, applies a
 // seeded fault schedule (loss bursts on the publisher->Primary path ΔPB,
 // delay spikes on the replication path ΔBB, broker crashes, partitions),
-// and asserts FRAME's guarantees through the subscribers and the
-// DeadlineAccountant: consecutive losses stay within each topic's Li,
+// and asserts FRAME's guarantees through the subscribers and the SLO
+// monitor's per-topic account: consecutive losses stay within each topic's
+// Li,
 // failover completes within the detector's detection_bound() (plus
 // scheduling margin), corrupted frames never reach an engine, and the
 // retention replay after promotion double-delivers nothing.
@@ -19,6 +20,7 @@
 
 #include "chaos_util.hpp"
 #include "obs/obs.hpp"
+#include "obs/slo.hpp"
 #include "runtime/system.hpp"
 
 namespace frame::runtime {
@@ -92,20 +94,20 @@ void expect_loss_within_li(EdgeSystem& system, TopicId topic,
   EXPECT_LE(loss.max_consecutive_losses, li) << "topic " << topic;
 }
 
-/// The accountant's per-topic verdict on the Li budget.
-void expect_accountant_within_budget(TopicId topic) {
-  const auto snapshot = obs::accountant().snapshot(topic);
+/// The SLO monitor's per-topic verdict on the Li budget.
+void expect_account_within_budget(TopicId topic) {
+  const auto snapshot = obs::slo().snapshot(topic, obs::slo().latest_now());
   EXPECT_FALSE(snapshot.loss_budget_exceeded)
-      << "accountant: topic " << topic << " max streak "
+      << "slo account: topic " << topic << " max streak "
       << snapshot.max_loss_streak << " > Li " << snapshot.loss_tolerance;
 }
 
 class ChaosScenario : public ChaosTest {
  protected:
-  void arm_accountant(EdgeSystem& system) {
+  void arm_account(EdgeSystem& system) {
     obs::set_enabled(true);
     obs::reset_all();
-    obs::accountant().configure(system.topics());
+    obs::slo().configure(system.topics());
   }
 
   void TearDown() override {
@@ -128,7 +130,7 @@ TEST_F(ChaosScenario, LossBurstOnPublisherLinkBoundedByLi) {
 
   EdgeSystem system(chaos_options(use_seed(1001), {burst}),
                     chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   system.stop();
@@ -145,7 +147,7 @@ TEST_F(ChaosScenario, LossBurstOnPublisherLinkBoundedByLi) {
     EXPECT_LE(loss.max_consecutive_losses, 3u) << "Li exceeded";
   }
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 
@@ -168,7 +170,7 @@ TEST_F(ChaosScenario, DelaySpikesCauseNoLossAndNoFailover) {
   options.detector_poll = milliseconds(25);
   options.detector_misses = 5;
   EdgeSystem system(options, chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   system.stop();
@@ -182,7 +184,7 @@ TEST_F(ChaosScenario, DelaySpikesCauseNoLossAndNoFailover) {
   expect_zero_loss(system, 2);
   expect_loss_within_li(system, 1, 3);
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 
@@ -192,7 +194,7 @@ TEST_F(ChaosScenario, DelaySpikesCauseNoLossAndNoFailover) {
 // must leave the zero-loss topics gapless.
 TEST_F(ChaosScenario, PrimaryCrashMidBurstMeetsFailoverBound) {
   EdgeSystem system(chaos_options(use_seed(1003), {}), chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
 
@@ -222,7 +224,7 @@ TEST_F(ChaosScenario, PrimaryCrashMidBurstMeetsFailoverBound) {
   expect_zero_loss(system, 2);
   expect_loss_within_li(system, 1, 3);
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 
@@ -231,7 +233,7 @@ TEST_F(ChaosScenario, PrimaryCrashMidBurstMeetsFailoverBound) {
 // the restarted Backup, and then survive its own crash.
 TEST_F(ChaosScenario, BackupCrashDegradesThenReintegrates) {
   EdgeSystem system(chaos_options(use_seed(1004), {}), chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
@@ -265,7 +267,7 @@ TEST_F(ChaosScenario, BackupCrashDegradesThenReintegrates) {
   expect_zero_loss(system, 2);
   expect_loss_within_li(system, 1, 3);
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 
@@ -275,7 +277,7 @@ TEST_F(ChaosScenario, BackupCrashDegradesThenReintegrates) {
 // promoted broker and the loss budgets still hold.
 TEST_F(ChaosScenario, PartitionedPrimaryFailsOverThenHeals) {
   EdgeSystem system(chaos_options(use_seed(1005), {}), chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
@@ -301,7 +303,7 @@ TEST_F(ChaosScenario, PartitionedPrimaryFailsOverThenHeals) {
   expect_zero_loss(system, 0);
   expect_loss_within_li(system, 1, 3);
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 
@@ -326,7 +328,7 @@ TEST_F(ChaosScenario, CorruptAndTruncatedFramesNeverReachEngines) {
 
   EdgeSystem system(chaos_options(use_seed(1006), {corrupt, truncate}),
                     chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   system.stop();
@@ -344,7 +346,7 @@ TEST_F(ChaosScenario, CorruptAndTruncatedFramesNeverReachEngines) {
   expect_zero_loss(system, 2);
   expect_loss_within_li(system, 1, 3);
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 
@@ -371,7 +373,7 @@ TEST_F(ChaosScenario, LossBurstAndCorruptionOverTcp) {
   EdgeSystem system(
       chaos_options(use_seed(1007), {burst, corrupt}, Transport::kTcp),
       chaos_deployment());
-  arm_accountant(system);
+  arm_account(system);
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1600));
   system.stop();
@@ -383,7 +385,7 @@ TEST_F(ChaosScenario, LossBurstAndCorruptionOverTcp) {
   expect_zero_loss(system, 2);
   expect_loss_within_li(system, 1, 3);
   for (const TopicId topic : {0u, 1u, 2u}) {
-    expect_accountant_within_budget(topic);
+    expect_account_within_budget(topic);
   }
 }
 

@@ -2,7 +2,7 @@
 // the broker dispatch past Lemma 2 deadlines; the burn-rate alert must
 // fire (critical -> 503 /healthz), the flight recorder must freeze exactly
 // one post-mortem bundle, and the bundle's stitched span timeline must
-// agree with the DeadlineAccountant counts frozen in the same bundle.
+// agree with the SLO monitor's per-topic counts frozen in the same bundle.
 // Runs at 1 and 4 Primary shards: the trigger path and the per-shard SLO
 // fold must behave identically under the sharded hot path.
 #include <gtest/gtest.h>
@@ -79,8 +79,8 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// Sums the "dispatch_misses" fields of the manifest's per-topic
-/// accountant lines: `topic N dispatches X dispatch_misses Y ...`.
+/// Sums the "dispatch_misses" fields of the manifest's per-topic lines:
+/// `topic N dispatches X dispatch_misses Y ...`.
 std::uint64_t manifest_dispatch_misses(const std::string& manifest) {
   std::uint64_t total = 0;
   std::istringstream lines(manifest);
@@ -145,9 +145,7 @@ class ChaosSlo : public ChaosTest {
     EdgeSystem system(options, slo_chaos_deployment());
     obs::set_enabled(true);
     obs::reset_all();
-    obs::accountant().configure(system.topics());
     obs::slo().configure(system.topics());
-    obs::slo().set_rules(obs::SloMonitor::default_rules());
 
     system.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(1400));
@@ -189,11 +187,11 @@ class ChaosSlo : public ChaosTest {
               std::string::npos)
         << "bundle must record the FaultPlan seed for replay";
 
-    // The stitched timeline and the accountant counts were frozen at the
+    // The stitched timeline and the per-topic counts were frozen at the
     // same instant; they must tell the same story.  Count dispatch spans
     // that executed past their deadline (negative dd slack) and compare
-    // with the manifest's accountant fold.  A small tolerance absorbs
-    // hook-ordering races between the trace ring and the accountant.
+    // with the manifest's per-topic fold.  A small tolerance absorbs
+    // hook-ordering races between the trace ring and the SLO monitor.
     const auto dumps = obs::parse_dumps(slurp(bundle + "/trace.dump"));
     ASSERT_EQ(dumps.size(), 1u);
     const obs::StitchReport report = obs::stitch(dumps);
@@ -210,7 +208,7 @@ class ChaosSlo : public ChaosTest {
     EXPECT_LE(stitched_misses >= accounted ? stitched_misses - accounted
                                            : accounted - stitched_misses,
               3u)
-        << "stitched=" << stitched_misses << " accountant=" << accounted;
+        << "stitched=" << stitched_misses << " accounted=" << accounted;
 
     // The frozen SLO document already reports the burn.
     const std::string slo_doc = slurp(bundle + "/slo.json");
@@ -219,10 +217,12 @@ class ChaosSlo : public ChaosTest {
 };
 
 TEST_F(ChaosSlo, DelaySpikeFiresBurnAlertAndWritesOneBundleOneShard) {
+  if (!obs::kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   run(/*shards=*/1, /*seed_fallback=*/9101);
 }
 
 TEST_F(ChaosSlo, DelaySpikeFiresBurnAlertAndWritesOneBundleFourShards) {
+  if (!obs::kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   run(/*shards=*/4, /*seed_fallback=*/9104);
 }
 

@@ -2,7 +2,7 @@
 // prove the guarantees *from the stitched trace itself* — exactly-once
 // delivery per (subscriber, seq), a measured failover x within the
 // detector's bound, and per-hop numbers that agree with what the metrics
-// registry and DeadlineAccountant measured independently.
+// registry and the SLO monitor's per-topic account measured independently.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 
 #include "chaos_util.hpp"
 #include "obs/obs.hpp"
+#include "obs/slo.hpp"
 #include "obs/stitch.hpp"
 #include "runtime/system.hpp"
 
@@ -59,7 +60,7 @@ TEST_F(ChaosTraceScenario, StitchedTimelineProvesExactlyOnceAndFailoverBound) {
   obs::set_enabled(true);
   obs::reset_all();
   EdgeSystem system(options, proxies);
-  obs::accountant().configure(system.topics());
+  obs::slo().configure(system.topics());
   system.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
 
@@ -139,13 +140,13 @@ TEST_F(ChaosTraceScenario, StitchedTimelineProvesExactlyOnceAndFailoverBound) {
       }(),
       "delta_pb mean");
 
-  // The accountant saw the same deliveries the trace did.
-  std::uint64_t accountant_deliveries = 0;
-  for (const auto& topic : obs::accountant().snapshot_all()) {
+  // The SLO monitor saw the same deliveries the trace did.
+  std::uint64_t accounted_deliveries = 0;
+  for (const auto& topic : obs::slo().snapshot_all(obs::slo().latest_now())) {
     if (topic.topic == kInvalidTopic) continue;
-    accountant_deliveries += topic.deliveries;
+    accounted_deliveries += topic.deliveries;
   }
-  EXPECT_EQ(report.delivered_events, accountant_deliveries);
+  EXPECT_EQ(report.delivered_events, accounted_deliveries);
 
   // And the stitched timeline renders as valid Perfetto JSON.
   const std::string json = obs::to_perfetto_json(report);

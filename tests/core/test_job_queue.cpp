@@ -162,6 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JobQueueProperty,
 // Regression: cancelled-replication drops (and clear()) used to bypass the
 // depth hook, so frame_job_queue_depth went stale until the next push/pop.
 TEST(JobQueue, DepthGaugeTracksCancelledDropsAndClear) {
+  if (!obs::kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   obs::EnabledScope scope(true);
   obs::reset_all();
   auto& gauge = obs::registry().gauge("frame_job_queue_depth");
@@ -247,6 +248,7 @@ TEST(JobQueue, ClearPurgesCancelledAndPendingState) {
 // peek() also performs lazy drops; a fully-cancelled queue must report
 // depth 0 after a peek even though no pop ever ran.
 TEST(JobQueue, DepthGaugeTracksDropsDuringPeek) {
+  if (!obs::kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   obs::EnabledScope scope(true);
   obs::reset_all();
   auto& gauge = obs::registry().gauge("frame_job_queue_depth");

@@ -10,7 +10,7 @@
 namespace frame::obs {
 namespace {
 
-/// Seeds the global registry/accountant/tracer with a small known state.
+/// Seeds the global registry/SLO monitor/tracer with a small known state.
 ObsSnapshot known_snapshot() {
   reset_all();
   registry().counter("test_export_events_total").add(42);
@@ -20,12 +20,13 @@ ObsSnapshot known_snapshot() {
 
   TopicSpec spec{0, milliseconds(100), milliseconds(150), 2, 1,
                  Destination::kEdge};
-  accountant().configure({spec});
-  accountant().on_dispatch_executed(0, milliseconds(10));
-  accountant().on_dispatch_executed(0, milliseconds(-1));
-  accountant().on_replication_executed(0, milliseconds(5));
-  accountant().on_delivery(0, 1, milliseconds(120));
-  accountant().on_delivery(0, 4, milliseconds(160));  // late; streak of 2
+  const TimePoint now = seconds(1);
+  slo().configure({spec});
+  slo().on_dispatch_executed(0, milliseconds(10), now);
+  slo().on_dispatch_executed(0, milliseconds(-1), now);
+  slo().on_replication_executed(0, milliseconds(5), now);
+  slo().on_delivery(0, 1, milliseconds(120), now);
+  slo().on_delivery(0, 4, milliseconds(160), now);  // late; streak of 2
 
   SpanEvent event;
   event.kind = SpanKind::kDelivered;

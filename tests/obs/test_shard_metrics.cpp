@@ -61,6 +61,7 @@ TEST_F(ShardMetricsTest, ShardScopeSetsAndRestoresThreadShard) {
 }
 
 TEST_F(ShardMetricsTest, DepthGaugesSplitPerShardAndFoldAsSumAndPeakMax) {
+  if (!kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   // Two shards publish different depths: without the split, the second
   // write would clobber the first and the aggregate would read 2, not 9.
   {
@@ -90,6 +91,7 @@ TEST_F(ShardMetricsTest, DepthGaugesSplitPerShardAndFoldAsSumAndPeakMax) {
 }
 
 TEST_F(ShardMetricsTest, CountersFoldAcrossShardsAndUnshardedBase) {
+  if (!kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   // A thread without a ShardScope (engine unit test, simulator) records
   // into the base series; the fold must include it in the total.
   hooks::dispatch_executed(0, 1, 0, kDurationInfinite);
@@ -113,6 +115,7 @@ TEST_F(ShardMetricsTest, CountersFoldAcrossShardsAndUnshardedBase) {
 }
 
 TEST_F(ShardMetricsTest, StageLatenciesMergeMomentsAndHistograms) {
+  if (!kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   {
     ShardScope shard(0);
     hooks::dispatch_stage(0, 1, 1000, /*queue_delay=*/1000,
@@ -141,6 +144,7 @@ TEST_F(ShardMetricsTest, StageLatenciesMergeMomentsAndHistograms) {
 }
 
 TEST_F(ShardMetricsTest, FoldedAggregateVisibleThroughExporters) {
+  if (!kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   {
     ShardScope shard(1);
     hooks::dispatch_stage(0, 1, 1000, 700, 300);

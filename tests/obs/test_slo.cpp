@@ -42,7 +42,6 @@ class SloTest : public ::testing::Test {
   void SetUp() override {
     reset_all();
     slo().configure(two_topics());
-    slo().set_rules(SloMonitor::default_rules());
   }
   void TearDown() override { reset_all(); }
 };
@@ -69,7 +68,7 @@ TEST_F(SloTest, ShortWindowForgetsOldMisses) {
   }
   // Two short windows later the misses have rolled out of the short view
   // but remain visible in the long window.
-  const TimePoint later = t0 + 3 * slo().config().short_window;
+  const TimePoint later = t0 + 3 * SloMonitor::kShortWindow;
   slo().on_dispatch_executed(0, milliseconds(20), later);
   const TopicSloSnapshot snap = slo().snapshot(0, later);
   EXPECT_EQ(snap.dispatch_misses_short, 0u) << "short window did not roll";
@@ -101,7 +100,7 @@ TEST_F(SloTest, DefaultRulesFireCriticalOnSustainedLemma2Misses) {
   EXPECT_TRUE(slo().critical_firing());
 
   // A quiet recovery clears it: 2000 clean dispatches in a later window.
-  const TimePoint t1 = t0 + 4 * slo().config().short_window;
+  const TimePoint t1 = t0 + 4 * SloMonitor::kShortWindow;
   for (int i = 0; i < 2000; ++i) {
     slo().on_dispatch_executed(0, milliseconds(30), t1 + i * microseconds(10));
   }
@@ -111,13 +110,16 @@ TEST_F(SloTest, DefaultRulesFireCriticalOnSustainedLemma2Misses) {
 
 TEST_F(SloTest, StreakProximityTracksWorstStreakAgainstLi) {
   const TimePoint t0 = seconds(3);
-  slo().on_delivery(0, milliseconds(10), false, 1, t0);
+  // Seq 2 lost: a streak of 1.
+  slo().on_delivery(0, 1, milliseconds(10), t0);
+  slo().on_delivery(0, 3, milliseconds(10), t0);
   TopicSloSnapshot snap = slo().snapshot(0, t0);
   EXPECT_NEAR(snap.streak_proximity, 0.5, 1e-9);  // 1 of Li=2
 
-  slo().on_delivery(0, milliseconds(10), false, 3, t0 + 1);
+  // Seqs 4-6 lost: a streak of 3.
+  slo().on_delivery(0, 7, milliseconds(10), t0 + 1);
   snap = slo().snapshot(0, t0 + 1);
-  EXPECT_EQ(snap.worst_streak, 3u);
+  EXPECT_EQ(snap.max_loss_streak, 3u);
   EXPECT_NEAR(snap.streak_proximity, 1.5, 1e-9);  // breach
 
   const auto states = slo().evaluate(t0 + 1);
@@ -128,8 +130,10 @@ TEST_F(SloTest, StreakProximityTracksWorstStreakAgainstLi) {
   EXPECT_TRUE(breach_firing);
 
   // Best-effort topics never contribute streak proximity.
-  slo().on_delivery(1, milliseconds(10), false, 99, t0 + 2);
+  slo().on_delivery(1, 1, milliseconds(10), t0 + 2);
+  slo().on_delivery(1, 101, milliseconds(10), t0 + 2);
   snap = slo().snapshot(1, t0 + 2);
+  EXPECT_EQ(snap.max_loss_streak, 99u);
   EXPECT_EQ(snap.streak_proximity, 0.0);
 }
 
@@ -163,7 +167,7 @@ TEST_F(SloTest, JsonDocumentsParseAndCarryAlerts) {
   ASSERT_TRUE(parsed.has_value()) << alerts;
   const JsonValue* list = parsed->find("alerts");
   ASSERT_NE(list, nullptr);
-  EXPECT_FALSE(list->array.empty());
+  ASSERT_FALSE(list->array.empty());
   const JsonValue* name = list->array[0].find("name");
   ASSERT_NE(name, nullptr);
   EXPECT_FALSE(name->str.empty());
@@ -261,6 +265,7 @@ std::string slurp(const std::string& path) {
 }
 
 TEST_F(SloTest, FlightRecorderWritesExactlyOneBundle) {
+  if (!kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   TempDir dir;
   ASSERT_FALSE(dir.path().empty());
   flight_recorder().set_directory(dir.path());

@@ -46,6 +46,7 @@ class StageAttributionTest : public ::testing::Test {
 };
 
 TEST_F(StageAttributionTest, HistogramsSumToStitchedDispatchSpan) {
+  if (!obs::kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   SystemOptions options;
   options.config = ConfigName::kFrame;
   options.timing = attribution_timing();
@@ -106,6 +107,7 @@ TEST_F(StageAttributionTest, HistogramsSumToStitchedDispatchSpan) {
 }
 
 TEST_F(StageAttributionTest, StageSeriesVisibleInExporters) {
+  if (!obs::kCompiled) GTEST_SKIP() << "built with FRAME_OBS=OFF";
   SystemOptions options;
   options.config = ConfigName::kFrame;
   options.timing = attribution_timing();
